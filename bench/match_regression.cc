@@ -5,7 +5,9 @@
 //
 //   1. Identity — for every Table-2 approach, the exact-mode batch
 //      engine must produce bit-identical predictions to the cold
-//      per-query classifier on a synthetic gallery.
+//      per-query classifier on two synthetic galleries: one with every
+//      histogram bin occupied, and one as sparse as rendered views, so
+//      the sparse Hellinger kernel path is exercised too.
 //   2. Recall — the ANN path (candidate retrieval + exact rerank) must
 //      agree with the exact path on at least `min_ann_recall_at_1` of
 //      queries at the default candidate budget.
@@ -67,8 +69,11 @@ bool LoadBands(const std::string& path, GateBands* bands) {
 }
 
 /// Synthetic feature bank shaped like SNS1 (8-bin histograms, valid Hu
-/// moments) — same generator as the serving benches.
-std::vector<ImageFeatures> SyntheticBank(std::size_t n, std::uint64_t seed) {
+/// moments) — same generator as the serving benches. With `occupied` > 0
+/// each histogram keeps at most that many nonzero bins, the occupancy of
+/// rendered views (a median 21 of 512 bins).
+std::vector<ImageFeatures> SyntheticBank(std::size_t n, std::uint64_t seed,
+                                         std::size_t occupied = 0) {
   Rng rng(seed);
   std::vector<ImageFeatures> bank(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -78,7 +83,14 @@ std::vector<ImageFeatures> SyntheticBank(std::size_t n, std::uint64_t seed) {
     f.valid = true;
     for (double& h : f.hu) h = rng.Uniform(-1.0, 1.0);
     f.histogram = ColorHistogram(8);
-    for (double& bin : f.histogram.bins()) bin = rng.UniformDouble();
+    std::vector<double>& bins = f.histogram.bins();
+    if (occupied == 0) {
+      for (double& bin : bins) bin = rng.UniformDouble();
+    } else {
+      for (std::size_t k = 0; k < occupied; ++k) {
+        bins[rng.Index(bins.size())] = rng.UniformDouble();
+      }
+    }
     f.histogram.NormalizeL1();
   }
   return bank;
@@ -135,27 +147,38 @@ int Run(const std::string& baseline_path) {
   const std::vector<const ImageFeatures*> batch = Pointers(queries);
 
   // ---- Contract 1: exact mode is bit-identical to the cold classifier
-  // for every Table-2 approach.
+  // for every Table-2 approach, on dense and on sparse histograms.
+  constexpr std::size_t kSparseOccupied = 24;
+  const std::vector<ImageFeatures> sparse_gallery =
+      SyntheticBank(gallery_size, 4, kSparseOccupied);
+  const std::vector<ImageFeatures> sparse_queries =
+      SyntheticBank(query_count, 5, kSparseOccupied);
   std::size_t identity_checked = 0;
-  for (const ApproachSpec& spec : Table2Approaches()) {
-    auto cold = MakeClassifier(spec, gallery, seed);
-    if (!cold.ok()) return Fail("cold classifier construction failed");
-    const std::vector<ObjectClass> expected = cold.value()->ClassifyAll(queries);
+  for (const bool sparse : {false, true}) {
+    const std::vector<ImageFeatures>& g = sparse ? sparse_gallery : gallery;
+    const std::vector<ImageFeatures>& qs = sparse ? sparse_queries : queries;
+    const std::vector<const ImageFeatures*> q_batch = Pointers(qs);
+    for (const ApproachSpec& spec : Table2Approaches()) {
+      auto cold = MakeClassifier(spec, g, seed);
+      if (!cold.ok()) return Fail("cold classifier construction failed");
+      const std::vector<ObjectClass> expected = cold.value()->ClassifyAll(qs);
 
-    BatchEngineOptions options;
-    options.num_shards = 3;
-    auto engine = BatchEngine::Create(spec, gallery, options, seed);
-    if (!engine.ok()) return Fail("exact engine construction failed");
-    const std::vector<ObjectClass> actual =
-        engine.value()->ClassifyBatch(batch);
-    if (actual != expected) {
-      std::fprintf(stderr, "match_regression: %s diverges from cold\n",
-                   spec.DisplayName().c_str());
-      return Fail("exact mode is not bit-identical to the cold classifier");
+      BatchEngineOptions options;
+      options.num_shards = 3;
+      auto engine = BatchEngine::Create(spec, g, options, seed);
+      if (!engine.ok()) return Fail("exact engine construction failed");
+      const std::vector<ObjectClass> actual =
+          engine.value()->ClassifyBatch(q_batch);
+      if (actual != expected) {
+        std::fprintf(stderr, "match_regression: %s diverges from cold (%s)\n",
+                     spec.DisplayName().c_str(), sparse ? "sparse" : "dense");
+        return Fail("exact mode is not bit-identical to the cold classifier");
+      }
+      ++identity_checked;
     }
-    ++identity_checked;
   }
-  std::printf("identity: %zu approaches bit-identical to cold\n",
+  std::printf("identity: %zu approach runs bit-identical to cold (dense and "
+              "sparse galleries)\n",
               identity_checked);
 
   // ---- Contracts 2 and 3 use the hybrid approach (both modalities, the

@@ -158,7 +158,10 @@ BENCHMARK(BM_BruteForceKnn)->Arg(100)->Arg(500);
 // and the ANN candidate + exact-rerank path. `match_s` is seconds of
 // matching per query; the bank/ANN rows are the sub-linear matching win.
 
-std::vector<ImageFeatures> RandomGallery(std::size_t n, std::uint64_t seed) {
+/// Random views; with `occupied` > 0 each histogram keeps at most that
+/// many nonzero bins (rendered views occupy a median 21 of 512).
+std::vector<ImageFeatures> RandomGallery(std::size_t n, std::uint64_t seed,
+                                         std::size_t occupied = 0) {
   Rng rng(seed);
   std::vector<ImageFeatures> gallery(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -167,7 +170,14 @@ std::vector<ImageFeatures> RandomGallery(std::size_t n, std::uint64_t seed) {
     f.model_id = static_cast<int>(i / kNumClasses);
     f.valid = true;
     for (double& h : f.hu) h = rng.Uniform(-1.0, 1.0);
-    for (double& bin : f.histogram.bins()) bin = rng.UniformDouble();
+    std::vector<double>& bins = f.histogram.bins();
+    if (occupied == 0) {
+      for (double& bin : bins) bin = rng.UniformDouble();
+    } else {
+      for (std::size_t k = 0; k < occupied; ++k) {
+        bins[rng.Index(bins.size())] = rng.UniformDouble();
+      }
+    }
     f.histogram.NormalizeL1();
   }
   return gallery;
@@ -223,10 +233,13 @@ void BM_ScalarColorArgbest(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalarColorArgbest)->Arg(1024)->Arg(4096);
 
+// Args: gallery views, occupied bins per histogram (0 = all 512). The
+// sparse rows are what the Hellinger kernel's nonzero-bin scan is for.
 void BM_BankColorArgbest(benchmark::State& state) {
+  const auto occupied = static_cast<std::size_t>(state.range(1));
   const auto gallery = RandomGallery(
-      static_cast<std::size_t>(state.range(0)), 11);
-  const auto queries = RandomGallery(16, 12);
+      static_cast<std::size_t>(state.range(0)), 11, occupied);
+  const auto queries = RandomGallery(16, 12, occupied);
   const FeatureBank bank = PackFeatureBank(gallery);
   for (auto _ : state) {
     for (const ImageFeatures& q : queries) {
@@ -236,7 +249,11 @@ void BM_BankColorArgbest(benchmark::State& state) {
   }
   SetMatchSeconds(state, queries.size());
 }
-BENCHMARK(BM_BankColorArgbest)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_BankColorArgbest)
+    ->Args({1024, 0})
+    ->Args({4096, 0})
+    ->Args({1024, 24})
+    ->Args({4096, 24});
 
 void BM_AnnCandidateRerank(benchmark::State& state) {
   const auto gallery = RandomGallery(

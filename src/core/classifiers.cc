@@ -17,16 +17,13 @@ constexpr double kHuge = kUnusableScore;
 
 double HybridColorDistance(const ColorHistogram& a, const ColorHistogram& b,
                            HistCompareMethod method) {
-  SNOR_CHECK_EQ(a.num_bins(), b.num_bins());
-  return HybridColorDistanceRaw(a.bins().data(), b.bins().data(),
-                                a.num_bins(), method);
+  return HybridColorDistanceFromScore(CompareHistograms(a, b, method),
+                                      method);
 }
 
-double HybridColorDistanceRaw(const double* a, const double* b,
-                              const std::size_t n, HistCompareMethod method) {
-  const double c = CompareHistogramsRaw(a, b, n, method);
-  if (!IsSimilarityMetric(method)) return c;
-  return 1.0 / std::max(c, 1e-6);
+double HybridColorDistanceFromScore(double score, HistCompareMethod method) {
+  if (!IsSimilarityMetric(method)) return score;
+  return 1.0 / std::max(score, 1e-6);
 }
 
 PartialBest ShapeArgminOverRange(const ImageFeatures& input,

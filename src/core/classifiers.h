@@ -117,12 +117,11 @@ struct PartialBest {
                                          const ColorHistogram& b,
                                          HistCompareMethod method);
 
-/// Raw-pointer core of HybridColorDistance over two bin arrays of length
-/// `n`; the SoA feature-bank kernels call this on bank rows so the
-/// similarity inversion lives in exactly one place.
-[[nodiscard]] double HybridColorDistanceRaw(const double* a, const double* b,
-                                            std::size_t n,
-                                            HistCompareMethod method);
+/// The inversion step of HybridColorDistance on a CompareHistograms
+/// score; the SoA feature-bank kernels call this on their bank-row scores
+/// so the similarity inversion lives in exactly one place.
+[[nodiscard]] double HybridColorDistanceFromScore(double score,
+                                                  HistCompareMethod method);
 
 /// Fills `shape_scores`/`color_scores` (pre-sized to the gallery, filled
 /// with kUnusableScore) for gallery views [begin, end) and counts the

@@ -32,6 +32,7 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
   SNOR_TRACE_SPAN("core.bank.pack");
   FeatureBank bank;
   bank.num_views = gallery.size();
+  bank.nz_offsets.assign(bank.num_views + 1, 0);
   if (gallery.empty()) return bank;
 
   bank.bins_per_channel = gallery.front().histogram.bins_per_channel();
@@ -43,6 +44,8 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
   bank.valid.resize(bank.num_views);
   bank.labels.resize(bank.num_views);
   bank.model_ids.resize(bank.num_views);
+  bank.hu_maps.resize(bank.num_views);
+  bank.hist_sums.resize(bank.num_views);
 
   for (std::size_t i = 0; i < bank.num_views; ++i) {
     const ImageFeatures& view = gallery[i];
@@ -56,6 +59,31 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
     bank.valid[i] = view.valid ? 1 : 0;
     bank.labels[i] = view.label;
     bank.model_ids[i] = view.model_id;
+
+    bank.hu_maps[i] = MakeLogHuMap(view.hu.data());
+    const double* row = bank.hist.data() + i * bank.hist_stride;
+    double sum = 0.0;
+    for (std::size_t block = 0; block < bank.hist_stride; block += 8) {
+      // Rendered rows are mostly empty, so test a whole cache line of
+      // bins for ±0.0 at once (shifting out the sign bit) before testing
+      // bins one by one. Pad lanes are +0.0 and never enter the list.
+      std::uint64_t words[8];
+      std::memcpy(words, row + block, sizeof(words));
+      std::uint64_t magnitude_bits = 0;
+      for (const std::uint64_t w : words) magnitude_bits |= w << 1;
+      if (magnitude_bits == 0) continue;
+      for (std::size_t k = block; k < block + 8; ++k) {
+        // Adding ±0.0 to an ascending sum that starts at +0.0 never
+        // changes it, so the sum over nonzero bins equals the dense sum
+        // bitwise.
+        if (row[k] == 0.0) continue;
+        sum += row[k];
+        bank.nz_bins.push_back(static_cast<std::uint32_t>(k));
+        bank.nz_values.push_back(row[k]);
+      }
+    }
+    bank.hist_sums[i] = sum;
+    bank.nz_offsets[i + 1] = bank.nz_bins.size();
   }
 
   static obs::Gauge& views_gauge =
@@ -64,9 +92,14 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
       obs::MetricsRegistry::Global().gauge("core.bank.bytes");
   views_gauge.Set(static_cast<double>(bank.num_views));
   bytes_gauge.Set(static_cast<double>(
-      (bank.hu.size() + bank.hist.size()) * sizeof(double) +
+      (bank.hu.size() + bank.hist.size() + bank.hist_sums.size() +
+       bank.nz_values.size()) *
+          sizeof(double) +
       bank.valid.size() + bank.labels.size() * sizeof(ObjectClass) +
-      bank.model_ids.size() * sizeof(int)));
+      bank.model_ids.size() * sizeof(int) +
+      bank.hu_maps.size() * sizeof(LogHuMap) +
+      bank.nz_offsets.size() * sizeof(std::size_t) +
+      bank.nz_bins.size() * sizeof(std::uint32_t)));
   return bank;
 }
 
@@ -85,16 +118,55 @@ std::vector<ImageFeatures> UnpackFeatureBank(const FeatureBank& bank) {
   return gallery;
 }
 
-PartialBest BankShapeArgminOverRange(const ImageFeatures& input,
-                                     const FeatureBank& bank,
-                                     std::size_t begin, std::size_t end,
-                                     ShapeMatchMethod method) {
+namespace {
+
+/// Ascending view indices [first, last), iterable like a candidate list,
+/// so one kernel body serves both full-range and candidate scans.
+struct IndexRange {
+  struct Iterator {
+    std::size_t i;
+    std::size_t operator*() const { return i; }
+    Iterator& operator++() {
+      ++i;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const { return i != other.i; }
+  };
+  std::size_t first;
+  std::size_t last;
+  Iterator begin() const { return {first}; }
+  Iterator end() const { return {std::max(first, last)}; }
+};
+
+/// Colour score of bank row `i`, bit-identical to
+/// CompareHistogramsRaw(q, bank.HistRow(i), bank.hist_bins, method).
+/// Hellinger reads only the row's nonzero bins (see the kernel contract
+/// in feature_bank.h); `q_sum` is the query's ascending bin sum.
+double RowColorScore(const double* q, double q_sum, const FeatureBank& bank,
+                     std::size_t i, HistCompareMethod method) {
+  if (method != HistCompareMethod::kHellinger) {
+    return CompareHistogramsRaw(q, bank.HistRow(i), bank.hist_bins, method);
+  }
+  double sum_sqrt = 0.0;
+  for (std::size_t k = bank.nz_offsets[i]; k < bank.nz_offsets[i + 1]; ++k) {
+    sum_sqrt += std::sqrt(q[bank.nz_bins[k]] * bank.nz_values[k]);
+  }
+  return HellingerFromSums(q_sum, bank.hist_sums[i], sum_sqrt,
+                           bank.hist_bins);
+}
+
+template <typename Views>
+PartialBest ShapeArgminOver(const ImageFeatures& input,
+                            const FeatureBank& bank, const Views& views,
+                            ShapeMatchMethod method) {
+  const LogHuMap q_map = MakeLogHuMap(input.hu.data());
   PartialBest partial;
   partial.score = kHuge;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (const auto idx : views) {
+    const auto i = static_cast<std::size_t>(idx);
     if (!bank.IsValid(i)) continue;
     const double d = MaybePoisonScore(
-        MatchShapesRaw(input.hu.data(), bank.HuRow(i), method));
+        MatchShapesFromMaps(q_map, bank.hu_maps[i], method));
     if (!std::isfinite(d)) continue;  // Poisoned view: skip, don't crash.
     if (d < partial.score) {
       partial.score = d;
@@ -105,19 +177,20 @@ PartialBest BankShapeArgminOverRange(const ImageFeatures& input,
   return partial;
 }
 
-PartialBest BankColorArgbestOverRange(const ImageFeatures& input,
-                                      const FeatureBank& bank,
-                                      std::size_t begin, std::size_t end,
-                                      HistCompareMethod method) {
+template <typename Views>
+PartialBest ColorArgbestOver(const ImageFeatures& input,
+                             const FeatureBank& bank, const Views& views,
+                             HistCompareMethod method) {
   SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
   const double* q = input.histogram.bins().data();
+  const double q_sum = input.histogram.TotalMass();
   const bool maximize = IsSimilarityMetric(method);
   PartialBest partial;
   partial.score = maximize ? -kHuge : kHuge;
-  for (std::size_t i = begin; i < end; ++i) {
+  for (const auto idx : views) {
+    const auto i = static_cast<std::size_t>(idx);
     if (!bank.IsValid(i)) continue;
-    const double c =
-        CompareHistogramsRaw(q, bank.HistRow(i), bank.hist_bins, method);
+    const double c = RowColorScore(q, q_sum, bank, i, method);
     if (!std::isfinite(c)) continue;  // Corrupt view: skip, don't crash.
     const bool better = maximize ? c > partial.score : c < partial.score;
     if (better) {
@@ -129,27 +202,31 @@ PartialBest BankColorArgbestOverRange(const ImageFeatures& input,
   return partial;
 }
 
-void BankHybridScoresOverRange(
-    const ImageFeatures& input, const FeatureBank& bank, std::size_t begin,
-    std::size_t end, ShapeMatchMethod shape_method,
-    HistCompareMethod color_method, bool use_shape, bool use_color,
-    std::vector<double>* shape_scores, std::vector<double>* color_scores,
-    std::size_t* shape_usable, std::size_t* color_usable) {
+template <typename Views>
+void HybridScoresOver(const ImageFeatures& input, const FeatureBank& bank,
+                      const Views& views, ShapeMatchMethod shape_method,
+                      HistCompareMethod color_method, bool use_shape,
+                      bool use_color, std::vector<double>* shape_scores,
+                      std::vector<double>* color_scores,
+                      std::size_t* shape_usable, std::size_t* color_usable) {
   if (use_color) SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
+  const LogHuMap q_map = MakeLogHuMap(input.hu.data());
   const double* q_hist = input.histogram.bins().data();
-  for (std::size_t i = begin; i < end; ++i) {
+  const double q_sum = input.histogram.TotalMass();
+  for (const auto idx : views) {
+    const auto i = static_cast<std::size_t>(idx);
     if (!bank.IsValid(i)) continue;
     if (use_shape) {
       const double s = MaybePoisonScore(
-          MatchShapesRaw(input.hu.data(), bank.HuRow(i), shape_method));
+          MatchShapesFromMaps(q_map, bank.hu_maps[i], shape_method));
       if (std::isfinite(s) && s < kHuge) {
         (*shape_scores)[i] = s;
         ++*shape_usable;
       }
     }
     if (use_color) {
-      const double c = HybridColorDistanceRaw(q_hist, bank.HistRow(i),
-                                              bank.hist_bins, color_method);
+      const double c = HybridColorDistanceFromScore(
+          RowColorScore(q_hist, q_sum, bank, i, color_method), color_method);
       if (std::isfinite(c)) {
         (*color_scores)[i] = c;
         ++*color_usable;
@@ -158,50 +235,45 @@ void BankHybridScoresOverRange(
   }
 }
 
+}  // namespace
+
+PartialBest BankShapeArgminOverRange(const ImageFeatures& input,
+                                     const FeatureBank& bank,
+                                     std::size_t begin, std::size_t end,
+                                     ShapeMatchMethod method) {
+  return ShapeArgminOver(input, bank, IndexRange{begin, end}, method);
+}
+
+PartialBest BankColorArgbestOverRange(const ImageFeatures& input,
+                                      const FeatureBank& bank,
+                                      std::size_t begin, std::size_t end,
+                                      HistCompareMethod method) {
+  return ColorArgbestOver(input, bank, IndexRange{begin, end}, method);
+}
+
+void BankHybridScoresOverRange(
+    const ImageFeatures& input, const FeatureBank& bank, std::size_t begin,
+    std::size_t end, ShapeMatchMethod shape_method,
+    HistCompareMethod color_method, bool use_shape, bool use_color,
+    std::vector<double>* shape_scores, std::vector<double>* color_scores,
+    std::size_t* shape_usable, std::size_t* color_usable) {
+  HybridScoresOver(input, bank, IndexRange{begin, end}, shape_method,
+                   color_method, use_shape, use_color, shape_scores,
+                   color_scores, shape_usable, color_usable);
+}
+
 PartialBest BankShapeArgminOverCandidates(const ImageFeatures& input,
                                           const FeatureBank& bank,
                                           const std::vector<int>& candidates,
                                           ShapeMatchMethod method) {
-  PartialBest partial;
-  partial.score = kHuge;
-  for (const int idx : candidates) {
-    const auto i = static_cast<std::size_t>(idx);
-    if (!bank.IsValid(i)) continue;
-    const double d = MaybePoisonScore(
-        MatchShapesRaw(input.hu.data(), bank.HuRow(i), method));
-    if (!std::isfinite(d)) continue;
-    if (d < partial.score) {
-      partial.score = d;
-      partial.label = bank.labels[i];
-      partial.found = true;
-    }
-  }
-  return partial;
+  return ShapeArgminOver(input, bank, candidates, method);
 }
 
 PartialBest BankColorArgbestOverCandidates(const ImageFeatures& input,
                                            const FeatureBank& bank,
                                            const std::vector<int>& candidates,
                                            HistCompareMethod method) {
-  SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
-  const double* q = input.histogram.bins().data();
-  const bool maximize = IsSimilarityMetric(method);
-  PartialBest partial;
-  partial.score = maximize ? -kHuge : kHuge;
-  for (const int idx : candidates) {
-    const auto i = static_cast<std::size_t>(idx);
-    if (!bank.IsValid(i)) continue;
-    const double c =
-        CompareHistogramsRaw(q, bank.HistRow(i), bank.hist_bins, method);
-    if (!std::isfinite(c)) continue;
-    const bool better = maximize ? c > partial.score : c < partial.score;
-    if (better) {
-      partial.score = c;
-      partial.label = bank.labels[i];
-      partial.found = true;
-    }
-  }
-  return partial;
+  return ColorArgbestOver(input, bank, candidates, method);
 }
 
 void BankHybridScoresOverCandidates(
@@ -210,28 +282,9 @@ void BankHybridScoresOverCandidates(
     HistCompareMethod color_method, bool use_shape, bool use_color,
     std::vector<double>* shape_scores, std::vector<double>* color_scores,
     std::size_t* shape_usable, std::size_t* color_usable) {
-  if (use_color) SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
-  const double* q_hist = input.histogram.bins().data();
-  for (const int idx : candidates) {
-    const auto i = static_cast<std::size_t>(idx);
-    if (!bank.IsValid(i)) continue;
-    if (use_shape) {
-      const double s = MaybePoisonScore(
-          MatchShapesRaw(input.hu.data(), bank.HuRow(i), shape_method));
-      if (std::isfinite(s) && s < kHuge) {
-        (*shape_scores)[i] = s;
-        ++*shape_usable;
-      }
-    }
-    if (use_color) {
-      const double c = HybridColorDistanceRaw(q_hist, bank.HistRow(i),
-                                              bank.hist_bins, color_method);
-      if (std::isfinite(c)) {
-        (*color_scores)[i] = c;
-        ++*color_usable;
-      }
-    }
-  }
+  HybridScoresOver(input, bank, candidates, shape_method, color_method,
+                   use_shape, use_color, shape_scores, color_scores,
+                   shape_usable, color_usable);
 }
 
 ObjectClass BankHybridArgminLabel(const std::vector<double>& theta,
@@ -392,28 +445,24 @@ GalleryViewIndex GalleryViewIndex::Build(const FeatureBank& bank,
   SNOR_TRACE_SPAN("core.bank.index_build");
   GalleryViewIndex index;
   index.options_ = options;
+  index.bank_ = &bank;
 
   std::vector<FloatDescriptor> color_points;
   std::vector<int> color_ids;
   for (std::size_t i = 0; i < bank.num_views; ++i) {
     if (!bank.IsValid(i)) continue;
     const double* hu = bank.HuRow(i);
-    bool hu_finite = true;
-    for (int d = 0; d < 7; ++d) {
-      if (!std::isfinite(hu[d])) hu_finite = false;
-    }
-    if (hu_finite) {
-      index.shape_maps_.push_back(MakeLogHuMap(hu));
+    if (std::all_of(hu, hu + 7, [](double h) { return std::isfinite(h); })) {
       index.shape_ids_.push_back(static_cast<int>(i));
     }
-    const double* row = bank.HistRow(i);
-    double mass = 0.0;
-    bool hist_ok = true;
-    for (std::size_t d = 0; d < bank.hist_bins; ++d) {
-      if (!std::isfinite(row[d]) || row[d] < 0.0) hist_ok = false;
-      mass += row[d];
-    }
-    if (hist_ok && mass > 0.0) {
+    // A finite positive row sum rules out NaN and infinite bins; only
+    // nonzero bins can be negative.
+    const double* nz_begin = bank.nz_values.data() + bank.nz_offsets[i];
+    const double* nz_end = bank.nz_values.data() + bank.nz_offsets[i + 1];
+    const double mass = bank.hist_sums[i];
+    if (std::isfinite(mass) && mass > 0.0 &&
+        std::none_of(nz_begin, nz_end, [](double v) { return v < 0.0; })) {
+      const double* row = bank.HistRow(i);
       color_points.push_back(ColorEmbedding(row, bank.bins_per_channel));
       color_ids.push_back(static_cast<int>(i));
     }
@@ -466,11 +515,11 @@ std::vector<int> GalleryViewIndex::Candidates(const ImageFeatures& query,
     const LogHuMap query_map = MakeLogHuMap(query.hu.data());
     std::vector<std::pair<double, int>> scored;
     scored.reserve(shape_ids_.size());
-    for (std::size_t i = 0; i < shape_ids_.size(); ++i) {
-      const double s =
-          MatchShapesFromMaps(query_map, shape_maps_[i],
-                              options_.shape_method);
-      if (std::isfinite(s)) scored.emplace_back(s, shape_ids_[i]);
+    for (const int id : shape_ids_) {
+      const double s = MatchShapesFromMaps(
+          query_map, bank_->hu_maps[static_cast<std::size_t>(id)],
+          options_.shape_method);
+      if (std::isfinite(s)) scored.emplace_back(s, id);
     }
     shape_cands = TopRIds(&scored, options_.candidates);
   }

@@ -13,15 +13,23 @@
 /// loops stream contiguous memory, and the descriptor banks do the same for
 /// float and binarized (BRIEF/ORB) keypoint descriptors.
 ///
-/// Kernel contract — bit identity. Every bank kernel calls the *same*
-/// raw per-pair functions as the cold path (`MatchShapesRaw`,
-/// `CompareHistogramsRaw`, `HybridColorDistanceRaw`, `FloatDistanceRaw`,
-/// word-wise Hamming), scans views in ascending index order with the same
-/// skip rules (invalid view, non-finite score) and the same strict
-/// comparisons, and probes `MaybePoisonScore` at the same per-view points.
-/// The batched result is therefore bit-identical to the scalar
-/// `*OverRange` loops in classifiers.cc by construction; the differential
-/// fuzz tests in tests/core_feature_bank_test.cc enforce it.
+/// Kernel contract — bit identity. Every bank kernel computes each
+/// per-pair score with the same functions as the cold path, split where
+/// one side can be precomputed: shape scores are `MatchShapesFromMaps`
+/// over a per-row `LogHuMap` made at pack time (what `MatchShapesRaw`
+/// does per pair), and Hellinger scores are `HellingerFromSums` over a
+/// packed row sum and a sum of sqrt(q[k] * v) over the row's nonzero bins
+/// only. Skipping a zero bin is exact: its dense term is sqrt(q * ±0) =
+/// ±0 for any finite q, and adding ±0 leaves an ascending sum that
+/// starts at +0 unchanged; a query with a non-finite bin has a
+/// non-finite sum, which makes the score NaN either way. The other
+/// colour metrics call `CompareHistogramsRaw` on the dense row, descriptor
+/// kernels call `FloatDistanceRaw` / word-wise Hamming. Every kernel
+/// scans views in ascending index order with the same skip rules (invalid
+/// view, non-finite score) and strict comparisons, and probes
+/// `MaybePoisonScore` at the same per-view points, so batched results are
+/// bit-identical to the scalar `*OverRange` loops in classifiers.cc; the
+/// differential fuzz tests in tests/core_feature_bank_test.cc enforce it.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,6 +41,7 @@
 #include "features/ann.h"
 #include "features/keypoint.h"
 #include "features/matcher.h"
+#include "geometry/moments.h"
 #include "util/thread_annotations.h"
 
 namespace snor {
@@ -64,6 +73,21 @@ struct SNOR_OWNS_VIEWS FeatureBank {
   std::vector<ObjectClass> labels;   ///< Per-view class label.
   std::vector<int> model_ids;        ///< Per-view model id.
 
+  // Per-row invariants the scan kernels would otherwise recompute for
+  // every (query, view) pair, derived once at pack time.
+  std::vector<LogHuMap> hu_maps;     ///< MakeLogHuMap of each Hu row.
+  /// Ascending-order bin sum of each histogram row, bit-identical to the
+  /// dense sum CompareHistogramsRaw accumulates. Non-finite exactly when
+  /// the row holds a NaN or infinite bin (or its finite bins overflow):
+  /// that is the row's finite flag.
+  std::vector<double> hist_sums;
+  /// Nonzero histogram bins of every row, rows back to back in ascending
+  /// bin order: row i owns entries [nz_offsets[i], nz_offsets[i + 1]).
+  /// NaN bins count as nonzero; ±0.0 bins are left out.
+  std::vector<std::size_t> nz_offsets;  ///< num_views + 1.
+  std::vector<std::uint32_t> nz_bins;
+  std::vector<double> nz_values;
+
   std::size_t size() const { return num_views; }
   bool empty() const { return num_views == 0; }
 
@@ -78,7 +102,8 @@ struct SNOR_OWNS_VIEWS FeatureBank {
 
 /// Packs a gallery into an SoA bank. Bin values, Hu moments, labels and
 /// validity are copied exactly (no renormalization — pack/unpack is a
-/// bit-exact round trip). All views must share one histogram geometry.
+/// bit-exact round trip), and the per-row invariants are derived from
+/// them. All views must share one histogram geometry.
 [[nodiscard]] FeatureBank PackFeatureBank(
     const std::vector<ImageFeatures>& gallery);
 
@@ -213,7 +238,7 @@ struct GalleryIndexOptions {
 /// \brief Candidate retrieval over gallery views for the ANN match mode,
 /// one retrieval structure per modality:
 ///
-///  - shape: an exact top-R prefilter over precomputed log-Hu maps — a
+///  - shape: an exact top-R prefilter over the bank's log-Hu maps — a
 ///    full `MatchShapesFromMaps` scan amortises the transcendentals, costs
 ///    a fraction of one color distance, and is both cheaper and strictly
 ///    more faithful than any Euclidean proxy of the non-metric shape
@@ -235,6 +260,10 @@ struct GalleryIndexOptions {
 /// The index only *proposes* candidate view indices; callers rerank them
 /// with the exact bank kernels, so `--match-mode=ann` accuracy degrades
 /// only by bounded recall loss, never by approximate scores.
+///
+/// The index borrows the bank it was built from (it reads the bank's
+/// log-Hu maps at query time): the bank must outlive the index, and a
+/// repacked bank needs a rebuilt index.
 class GalleryViewIndex {
  public:
   [[nodiscard]] static GalleryViewIndex Build(
@@ -256,9 +285,8 @@ class GalleryViewIndex {
 
  private:
   GalleryIndexOptions options_;
-  /// Exact shape prefilter rows: precomputed log-Hu maps of valid views
-  /// with finite Hu moments.
-  std::vector<LogHuMap> shape_maps_;
+  const FeatureBank* bank_ = nullptr;
+  /// Exact shape prefilter rows: valid bank views with finite Hu moments.
   std::vector<int> shape_ids_;
   /// Sqrt-space color embeddings: flat SoA bank scanned by the batch
   /// float kernel (default), or a k-d tree when an explicit leaf-check

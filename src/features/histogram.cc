@@ -1,10 +1,17 @@
 #include "features/histogram.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
 namespace snor {
+namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+}  // namespace
 
 bool IsSimilarityMetric(HistCompareMethod method) {
   return method == HistCompareMethod::kCorrelation ||
@@ -91,13 +98,18 @@ double CompareHistograms(const ColorHistogram& a, const ColorHistogram& b,
 
 double CompareHistogramsRaw(const double* ha, const double* hb,
                             const std::size_t n, HistCompareMethod method) {
+  // Every metric accumulates both ascending bin sums alongside its own
+  // terms. A NaN or infinite bin makes its side's sum non-finite, and a
+  // non-finite sum makes the score NaN, so the callers' isfinite skip
+  // fires instead of std::min / std::max / `a > 0` hiding the bin.
+  double sum_a = 0, sum_b = 0;
   switch (method) {
     case HistCompareMethod::kCorrelation: {
-      double sum_a = 0, sum_b = 0;
       for (std::size_t i = 0; i < n; ++i) {
         sum_a += ha[i];
         sum_b += hb[i];
       }
+      if (!std::isfinite(sum_a) || !std::isfinite(sum_b)) return kNaN;
       const double mean_a = sum_a / static_cast<double>(n);
       const double mean_b = sum_b / static_cast<double>(n);
       double num = 0, den_a = 0, den_b = 0;
@@ -122,39 +134,55 @@ double CompareHistogramsRaw(const double* ha, const double* hb,
     case HistCompareMethod::kChiSquare: {
       double acc = 0;
       for (std::size_t i = 0; i < n; ++i) {
+        sum_a += ha[i];
+        sum_b += hb[i];
         if (ha[i] > 0) {
           const double d = ha[i] - hb[i];
           acc += d * d / ha[i];
         }
       }
+      if (!std::isfinite(sum_a) || !std::isfinite(sum_b)) return kNaN;
       return acc;
     }
     case HistCompareMethod::kIntersection: {
       double acc = 0;
-      for (std::size_t i = 0; i < n; ++i) acc += std::min(ha[i], hb[i]);
+      for (std::size_t i = 0; i < n; ++i) {
+        sum_a += ha[i];
+        sum_b += hb[i];
+        acc += std::min(ha[i], hb[i]);
+      }
+      if (!std::isfinite(sum_a) || !std::isfinite(sum_b)) return kNaN;
       return acc;
     }
     case HistCompareMethod::kHellinger: {
-      double sum_a = 0, sum_b = 0, sum_sqrt = 0;
+      double sum_sqrt = 0;
       for (std::size_t i = 0; i < n; ++i) {
         sum_a += ha[i];
         sum_b += hb[i];
         sum_sqrt += std::sqrt(ha[i] * hb[i]);
       }
-      const double mean_a = sum_a / static_cast<double>(n);
-      const double mean_b = sum_b / static_cast<double>(n);
-      const double denom =
-          std::sqrt(mean_a * mean_b) * static_cast<double>(n);
-      // An all-zero histogram (fully masked-out crop) zeroes the
-      // denominator; return the worst-case distance instead of letting
-      // 0/0 make an empty crop a perfect match for everything.
-      if (denom < 1e-300) return 1.0;
-      const double bc = sum_sqrt / denom;  // Bhattacharyya coefficient.
-      return std::sqrt(std::max(0.0, 1.0 - bc));
+      return HellingerFromSums(sum_a, sum_b, sum_sqrt, n);
     }
   }
   SNOR_CHECK_MSG(false, "unreachable");
   return 0.0;
+}
+
+double HellingerFromSums(double sum_a, double sum_b, double sum_sqrt,
+                         std::size_t n) {
+  if (!std::isfinite(sum_a) || !std::isfinite(sum_b)) return kNaN;
+  const double mean_a = sum_a / static_cast<double>(n);
+  const double mean_b = sum_b / static_cast<double>(n);
+  const double denom = std::sqrt(mean_a * mean_b) * static_cast<double>(n);
+  // An all-zero histogram (fully masked-out crop) zeroes the
+  // denominator; return the worst-case distance instead of letting
+  // 0/0 make an empty crop a perfect match for everything.
+  if (denom < 1e-300) return 1.0;
+  const double bc = sum_sqrt / denom;  // Bhattacharyya coefficient.
+  // A negative bin makes a sqrt term NaN; std::max(0.0, NaN) would turn
+  // that into 0.0, a perfect match.
+  if (std::isnan(bc)) return bc;
+  return std::sqrt(std::max(0.0, 1.0 - bc));
 }
 
 }  // namespace snor

@@ -67,6 +67,10 @@ class ColorHistogram {
 ///  - Hellinger: sqrt(max(0, 1 - sum sqrt(a*b) / sqrt(mean_a*mean_b*N^2)));
 ///    an all-zero operand (fully masked-out crop) yields the worst-case
 ///    distance 1 instead of a 0/0 perfect match.
+///
+/// Every metric returns NaN when either operand holds a NaN or infinite
+/// bin (detected as a non-finite ascending bin sum), so callers' isfinite
+/// skips see a corrupt histogram instead of a perfect or masked score.
 double CompareHistograms(const ColorHistogram& a, const ColorHistogram& b,
                          HistCompareMethod method);
 
@@ -83,6 +87,15 @@ double CompareHistograms(const ColorHistogram& a, const ColorHistogram& b,
 ///    against real histograms.
 double CompareHistogramsRaw(const double* a, const double* b, std::size_t n,
                             HistCompareMethod method);
+
+/// Hellinger tail of CompareHistogramsRaw from its three ascending-order
+/// accumulators: the bin sums of both sides and sum sqrt(a[i] * b[i]).
+/// CompareHistogramsRaw's Hellinger case returns exactly this, so a
+/// caller that produces the same three sums some cheaper way (the sparse
+/// feature-bank kernel) gets a bit-identical score. NaN when either sum
+/// is non-finite or the coefficient is NaN (a negative bin).
+double HellingerFromSums(double sum_a, double sum_b, double sum_sqrt,
+                         std::size_t n);
 
 }  // namespace snor
 

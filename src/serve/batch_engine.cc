@@ -24,37 +24,44 @@ const char* MatchModeName(MatchMode mode) {
 }
 
 Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
-    const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+    const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
     const BatchEngineOptions& options, std::uint64_t baseline_seed) {
-  if (gallery.empty()) {
+  return CreateFromBank(
+      spec, std::make_shared<const FeatureBank>(PackFeatureBank(gallery)),
+      options, baseline_seed);
+}
+
+Result<std::unique_ptr<BatchEngine>> BatchEngine::CreateFromBank(
+    const ApproachSpec& spec, std::shared_ptr<const FeatureBank> bank,
+    const BatchEngineOptions& options, std::uint64_t baseline_seed) {
+  SNOR_CHECK(bank != nullptr);
+  if (bank->empty()) {
     return Status::InvalidArgument("cannot shard " + spec.DisplayName() +
                                    " over an empty gallery");
   }
   if (spec.kind != ApproachSpec::Kind::kBaseline) {
-    const bool any_valid =
-        std::any_of(gallery.begin(), gallery.end(),
-                    [](const ImageFeatures& f) { return f.valid; });
+    const bool any_valid = std::any_of(bank->valid.begin(), bank->valid.end(),
+                                       [](std::uint8_t v) { return v != 0; });
     if (!any_valid) {
       return Status::Unavailable(
           "gallery has no valid view to match against (all " +
-          std::to_string(gallery.size()) + " entries failed extraction)");
+          std::to_string(bank->size()) + " entries failed extraction)");
     }
   }
   // NOLINTNEXTLINE(raw-new-delete): private ctor, immediately owned.
   return std::unique_ptr<BatchEngine>(new BatchEngine(
-      spec, std::move(gallery), options, baseline_seed));
+      spec, std::move(bank), options, baseline_seed));
 }
 
 BatchEngine::BatchEngine(const ApproachSpec& spec,
-                         std::vector<ImageFeatures> gallery,
+                         std::shared_ptr<const FeatureBank> bank,
                          const BatchEngineOptions& options,
                          std::uint64_t baseline_seed)
-    : spec_(spec), gallery_(std::move(gallery)), options_(options) {
+    : spec_(spec), bank_(std::move(bank)), options_(options) {
+  const std::size_t n = bank_->size();
   int shards = options.num_shards > 0 ? options.num_shards
                                       : DefaultThreadCount();
-  shards = std::max(1, std::min<int>(shards,
-                                     static_cast<int>(gallery_.size())));
-  const std::size_t n = gallery_.size();
+  shards = std::max(1, std::min<int>(shards, static_cast<int>(n)));
   const std::size_t per_shard = n / static_cast<std::size_t>(shards);
   const std::size_t remainder = n % static_cast<std::size_t>(shards);
   std::size_t begin = 0;
@@ -72,24 +79,24 @@ BatchEngine::BatchEngine(const ApproachSpec& spec,
       .gauge("serve.engine.match_mode")
       .Set(options_.match_mode == MatchMode::kAnn ? 1.0 : 0.0);
   if (spec_.kind == ApproachSpec::Kind::kBaseline) {
-    baseline_ = std::make_unique<RandomBaselineClassifier>(gallery_,
-                                                           baseline_seed);
-    return;  // The baseline never scores views; no bank or index needed.
+    // The baseline never reads the gallery: it draws one label per query.
+    baseline_ = std::make_unique<RandomBaselineClassifier>(
+        std::vector<ImageFeatures>{}, baseline_seed);
+    return;  // No index needed either.
   }
-  bank_ = PackFeatureBank(gallery_);
   if (options_.match_mode == MatchMode::kAnn) {
     // The prefilter must rank with the approach's own shape metric so
     // its top-R equals the exact scan's top-R.
     GalleryIndexOptions index_options = options_.ann;
     index_options.shape_method = spec_.shape;
-    index_ = GalleryViewIndex::Build(bank_, index_options);
+    index_ = GalleryViewIndex::Build(*bank_, index_options);
   }
 }
 
 ObjectClass BatchEngine::FallbackLabel() const {
-  // Mirrors MatchingClassifier::FallbackLabel (gallery is never empty
+  // Mirrors MatchingClassifier::FallbackLabel (the bank is never empty
   // here; Create rejects that).
-  return gallery_.front().label;
+  return bank_->labels.front();
 }
 
 std::vector<ObjectClass> BatchEngine::ClassifyBatch(
@@ -171,9 +178,9 @@ std::vector<ObjectClass> BatchEngine::ClassifyPartialArgmin(
         // cold *OverRange loops, streaming the SoA rows instead of
         // chasing AoS pointers.
         partials[task] =
-            shape ? BankShapeArgminOverRange(*queries[q], bank_, shard.begin,
+            shape ? BankShapeArgminOverRange(*queries[q], *bank_, shard.begin,
                                              shard.end, spec_.shape)
-                  : BankColorArgbestOverRange(*queries[q], bank_, shard.begin,
+                  : BankColorArgbestOverRange(*queries[q], *bank_, shard.begin,
                                               shard.end, spec_.color);
       },
       options_.n_threads);
@@ -207,7 +214,7 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybrid(
     const obs::TraceContext* contexts) {
   const std::size_t nq = queries.size();
   const std::size_t ns = shards_.size();
-  const std::size_t n = gallery_.size();
+  const std::size_t n = bank_->size();
 
   std::vector<char> use_shape(nq);
   std::vector<char> use_color(nq);
@@ -236,7 +243,7 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybrid(
         SNOR_TRACE_SPAN("serve.engine.shard_scan");
         const Shard& shard = shards_[task % ns];
         BankHybridScoresOverRange(
-            *queries[q], bank_, shard.begin, shard.end, spec_.shape,
+            *queries[q], *bank_, shard.begin, shard.end, spec_.shape,
             spec_.color, use_shape[q] != 0, use_color[q] != 0,
             &shape_rows[q], &color_rows[q], &counts[task].first,
             &counts[task].second);
@@ -272,7 +279,7 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybrid(
         AssembleHybridTheta(shape_rows[q], color_rows[q], spec_.alpha,
                             spec_.beta, shape_live, color_live);
     predictions[q] =
-        BankHybridArgminLabel(theta, bank_, spec_.strategy, FallbackLabel());
+        BankHybridArgminLabel(theta, *bank_, spec_.strategy, FallbackLabel());
   }
   return predictions;
 }
@@ -306,16 +313,16 @@ std::vector<ObjectClass> BatchEngine::ClassifyPartialArgminAnn(
           // No usable modality embedding: degrade to a full exact scan
           // rather than answering from nothing.
           full_scan[q] = 1;
-          bests[q] = shape
-                         ? BankShapeArgminOverRange(*queries[q], bank_, 0,
-                                                    bank_.size(), spec_.shape)
-                         : BankColorArgbestOverRange(*queries[q], bank_, 0,
-                                                     bank_.size(), spec_.color);
+          const std::size_t n = bank_->size();
+          bests[q] = shape ? BankShapeArgminOverRange(*queries[q], *bank_, 0,
+                                                      n, spec_.shape)
+                           : BankColorArgbestOverRange(*queries[q], *bank_, 0,
+                                                       n, spec_.color);
           return;
         }
-        bests[q] = shape ? BankShapeArgminOverCandidates(*queries[q], bank_,
+        bests[q] = shape ? BankShapeArgminOverCandidates(*queries[q], *bank_,
                                                          cands, spec_.shape)
-                         : BankColorArgbestOverCandidates(*queries[q], bank_,
+                         : BankColorArgbestOverCandidates(*queries[q], *bank_,
                                                           cands, spec_.color);
       },
       options_.n_threads);
@@ -342,7 +349,7 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybridAnn(
     const std::vector<const ImageFeatures*>& queries,
     const obs::TraceContext* contexts) {
   const std::size_t nq = queries.size();
-  const std::size_t n = bank_.size();
+  const std::size_t n = bank_->size();
 
   std::vector<char> use_shape(nq);
   std::vector<char> use_color(nq);
@@ -375,13 +382,13 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybridAnn(
         std::size_t color_usable = 0;
         if (cands.empty()) {
           full_scan[q] = 1;
-          BankHybridScoresOverRange(*queries[q], bank_, 0, n, spec_.shape,
+          BankHybridScoresOverRange(*queries[q], *bank_, 0, n, spec_.shape,
                                     spec_.color, use_shape[q] != 0,
                                     use_color[q] != 0, &shape_row, &color_row,
                                     &shape_usable, &color_usable);
         } else {
           BankHybridScoresOverCandidates(
-              *queries[q], bank_, cands, spec_.shape, spec_.color,
+              *queries[q], *bank_, cands, spec_.shape, spec_.color,
               use_shape[q] != 0, use_color[q] != 0, &shape_row, &color_row,
               &shape_usable, &color_usable);
         }
@@ -398,7 +405,7 @@ std::vector<ObjectClass> BatchEngine::ClassifyHybridAnn(
             AssembleHybridTheta(shape_row, color_row, spec_.alpha, spec_.beta,
                                 shape_live, color_live);
         labels[q] =
-            BankHybridArgminLabel(theta, bank_, spec_.strategy,
+            BankHybridArgminLabel(theta, *bank_, spec_.strategy,
                                   FallbackLabel());
       },
       options_.n_threads);

@@ -62,19 +62,28 @@ struct BatchEngineOptions {
 
 /// \brief Matches query batches against a sharded in-memory gallery.
 ///
-/// Owns the gallery's SoA banks (OWNS_VIEWS): shard workers borrow bank
-/// rows only inside their ClassifyBatch scan, so a future live gallery
-/// snapshot-swap (ROADMAP item 1) can replace `bank_`/`gallery_` between
-/// batches without ever racing a borrowed row. The snor_analyze borrow
-/// pass flags any row view that crosses a dispatch or generation
-/// boundary.
+/// Holds the gallery only as an immutable, shareable SoA bank
+/// (OWNS_VIEWS): engines over the same gallery (a service's primary and
+/// degraded engines) share one pack. Shard workers borrow bank rows only
+/// inside their ClassifyBatch scan, so a future live gallery
+/// snapshot-swap can replace `bank_` between batches without ever racing
+/// a borrowed row. The snor_analyze borrow pass flags any row view that
+/// crosses a dispatch or generation boundary.
 class SNOR_OWNS_VIEWS BatchEngine {
  public:
   /// Validating factory, mirroring `MakeClassifier`: fails with
   /// `InvalidArgument` on an empty gallery and `Unavailable` when no
-  /// gallery view is valid (non-baseline approaches).
+  /// gallery view is valid (non-baseline approaches). Packs `gallery`
+  /// into a bank of its own; the engine keeps no reference to `gallery`.
   [[nodiscard]] static Result<std::unique_ptr<BatchEngine>> Create(
-      const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+      const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
+      const BatchEngineOptions& options = {},
+      std::uint64_t baseline_seed = 2019);
+
+  /// Same validation over an already packed bank, which the engine
+  /// shares rather than copies (`bank` must be non-null).
+  [[nodiscard]] static Result<std::unique_ptr<BatchEngine>> CreateFromBank(
+      const ApproachSpec& spec, std::shared_ptr<const FeatureBank> bank,
       const BatchEngineOptions& options = {},
       std::uint64_t baseline_seed = 2019);
 
@@ -97,7 +106,6 @@ class SNOR_OWNS_VIEWS BatchEngine {
   const DegradationStats& degradation() const { return degradation_; }
 
   std::size_t num_shards() const { return shards_.size(); }
-  const std::vector<ImageFeatures>& gallery() const { return gallery_; }
   MatchMode match_mode() const { return options_.match_mode; }
   /// Number of ANN-mode queries that fell back to a full exact scan
   /// because no modality produced candidates.
@@ -110,7 +118,7 @@ class SNOR_OWNS_VIEWS BatchEngine {
     std::size_t end = 0;
   };
 
-  BatchEngine(const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+  BatchEngine(const ApproachSpec& spec, std::shared_ptr<const FeatureBank> bank,
               const BatchEngineOptions& options, std::uint64_t baseline_seed);
 
   ObjectClass FallbackLabel() const;
@@ -131,10 +139,11 @@ class SNOR_OWNS_VIEWS BatchEngine {
       const obs::TraceContext* contexts);
 
   ApproachSpec spec_;
-  std::vector<ImageFeatures> gallery_;  // GUARDED_BY(caller)
-  /// SoA pack of gallery_; all non-baseline scoring reads bank rows.
-  FeatureBank bank_;  // GUARDED_BY(caller)
-  /// ANN candidate index (kAnn mode, non-baseline approaches only).
+  /// The gallery; all non-baseline scoring reads bank rows. Immutable, so
+  /// engines may share it across threads.
+  std::shared_ptr<const FeatureBank> bank_;
+  /// ANN candidate index over *bank_ (kAnn mode, non-baseline approaches
+  /// only); declared after bank_, which it borrows.
   std::optional<GalleryViewIndex> index_;  // GUARDED_BY(caller)
   BatchEngineOptions options_;
   std::vector<Shard> shards_;  // GUARDED_BY(caller)

@@ -93,8 +93,11 @@ void CircuitBreaker::RecordPrimary(std::uint64_t successes,
 }
 
 Result<std::unique_ptr<RecognitionService>> RecognitionService::Create(
-    const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+    const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
     const ServiceOptions& options) {
+  // One pack serves both engines.
+  const auto bank = std::make_shared<const FeatureBank>(
+      PackFeatureBank(gallery));
   std::unique_ptr<BatchEngine> degraded;
   if (options.breaker.enabled &&
       (spec.kind == ApproachSpec::Kind::kHybrid ||
@@ -102,16 +105,16 @@ Result<std::unique_ptr<RecognitionService>> RecognitionService::Create(
     ApproachSpec degraded_spec;
     degraded_spec.kind = ApproachSpec::Kind::kColor;
     degraded_spec.color = spec.color;
-    auto single = BatchEngine::Create(degraded_spec, gallery, options.engine,
-                                      options.baseline_seed);
+    auto single = BatchEngine::CreateFromBank(
+        degraded_spec, bank, options.engine, options.baseline_seed);
     // A gallery without a usable colour bank simply has no degradation
     // path; the breaker is then pinned closed in the constructor.
     if (single.ok()) degraded = std::move(single).MoveValue();
   }
   SNOR_ASSIGN_OR_RETURN(
       std::unique_ptr<BatchEngine> primary,
-      BatchEngine::Create(spec, std::move(gallery), options.engine,
-                          options.baseline_seed));
+      BatchEngine::CreateFromBank(spec, bank, options.engine,
+                                  options.baseline_seed));
   // NOLINTNEXTLINE(raw-new-delete): private ctor, immediately owned.
   return std::unique_ptr<RecognitionService>(new RecognitionService(
       spec, std::move(primary), std::move(degraded), options));

@@ -146,9 +146,10 @@ class RecognitionService {
   /// Validating factory: fails like `BatchEngine::Create` (empty or
   /// all-invalid gallery). For hybrid/shape specs a colour-only degraded
   /// engine is also built (best effort) as the circuit breaker's
-  /// fallback path.
+  /// fallback path. `gallery` is packed once, into a bank both engines
+  /// share; the service keeps no reference to `gallery`.
   [[nodiscard]] static Result<std::unique_ptr<RecognitionService>> Create(
-      const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+      const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
       const ServiceOptions& options = {});
 
   ~RecognitionService();

@@ -1,5 +1,6 @@
 #include "core/feature_bank.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -14,9 +15,28 @@
 namespace snor {
 namespace {
 
+// Bitwise double equality: tells -0.0 from +0.0 and matches NaN payloads.
+bool BitEq(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Zeroes all but at most 10% of the bins, keeping the survivors' values,
+// so the sparse kernel path skips most bins.
+void MakeSparse(ColorHistogram* h, Rng* rng) {
+  const std::size_t n = h->num_bins();
+  std::vector<double> kept(n, 0.0);
+  for (std::size_t k = 0; k < std::max<std::size_t>(1, n / 10); ++k) {
+    const std::size_t bin = rng->Index(n);
+    kept[bin] = h->bins()[bin];
+  }
+  h->bins() = kept;
+}
+
 // Fuzz gallery covering the hostile cases the kernels must handle exactly
-// like the scalar loops: invalid views, NaN and zero Hu moments, flat
-// histograms, and ordinary random views.
+// like the scalar loops: invalid views, NaN and zero Hu moments, flat,
+// empty and sparse histograms, histograms with -0.0, NaN, +inf and
+// negative bins, and ordinary random views. Queries come from the same
+// generator, so every case shows up on the query side too.
 std::vector<ImageFeatures> FuzzGallery(std::size_t n, std::uint64_t seed,
                                        int bins_per_channel = 4) {
   Rng rng(seed);
@@ -30,8 +50,10 @@ std::vector<ImageFeatures> FuzzGallery(std::size_t n, std::uint64_t seed,
     f.histogram = ColorHistogram(bins_per_channel);
     for (double& bin : f.histogram.bins()) bin = rng.UniformDouble();
     f.histogram.NormalizeL1();
+    std::vector<double>& bins = f.histogram.bins();
+    const std::size_t some_bin = rng.Index(bins.size());
 
-    switch (i % 7) {
+    switch (i % 12) {
       case 1:  // Invalid view: must be skipped by every kernel.
         f.valid = false;
         break;
@@ -42,19 +64,58 @@ std::vector<ImageFeatures> FuzzGallery(std::size_t n, std::uint64_t seed,
         for (double& h : f.hu) h = 0.0;
         break;
       case 4: {  // Flat histogram (uniform bins).
-        const double uniform = 1.0 / static_cast<double>(f.histogram.num_bins());
-        for (double& bin : f.histogram.bins()) bin = uniform;
+        const double uniform = 1.0 / static_cast<double>(bins.size());
+        for (double& bin : bins) bin = uniform;
         break;
       }
       case 5: {  // Empty histogram (no color mass).
-        for (double& bin : f.histogram.bins()) bin = 0.0;
+        for (double& bin : bins) bin = 0.0;
         break;
       }
+      case 6:  // Sparse histogram (at most 10% of bins occupied).
+        MakeSparse(&f.histogram, &rng);
+        break;
+      case 7:  // Sparse, with -0.0 in every other empty bin.
+        MakeSparse(&f.histogram, &rng);
+        for (std::size_t k = 0; k < bins.size(); k += 2) {
+          if (bins[k] == 0.0) bins[k] = -0.0;
+        }
+        break;
+      case 8:  // Dense with one NaN bin.
+        bins[some_bin] = std::numeric_limits<double>::quiet_NaN();
+        break;
+      case 9:  // Sparse with one +inf bin.
+        MakeSparse(&f.histogram, &rng);
+        bins[some_bin] = std::numeric_limits<double>::infinity();
+        break;
+      case 10:  // Sparse with one negative bin.
+        MakeSparse(&f.histogram, &rng);
+        bins[some_bin] = -0.25;
+        break;
       default:
         break;
     }
   }
   return gallery;
+}
+
+// Histogram geometries of the differential tests: 64 bins (4 per
+// channel) and 4096 bins (16 per channel).
+constexpr int kGeometries[] = {4, 16};
+
+constexpr ShapeMatchMethod kShapeMethods[] = {
+    ShapeMatchMethod::kI1, ShapeMatchMethod::kI2, ShapeMatchMethod::kI3};
+constexpr HistCompareMethod kColorMethods[] = {
+    HistCompareMethod::kCorrelation, HistCompareMethod::kChiSquare,
+    HistCompareMethod::kIntersection, HistCompareMethod::kHellinger};
+
+void ExpectSamePartial(const PartialBest& warm, const PartialBest& cold) {
+  EXPECT_EQ(warm.found, cold.found);
+  if (cold.found) {
+    EXPECT_TRUE(BitEq(warm.score, cold.score))
+        << warm.score << " vs " << cold.score;
+    EXPECT_EQ(warm.label, cold.label);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -83,7 +144,41 @@ TEST(FeatureBankPackTest, RoundTripIsBitExact) {
     const auto& hb = unpacked[i].histogram.bins();
     ASSERT_EQ(ha.size(), hb.size());
     for (std::size_t k = 0; k < ha.size(); ++k) {
-      EXPECT_EQ(ha[k], hb[k]) << "bin " << k << " of view " << i;
+      EXPECT_TRUE(BitEq(ha[k], hb[k])) << "bin " << k << " of view " << i;
+    }
+  }
+}
+
+// The per-row invariants agree bitwise with what the cold path computes
+// from the dense row: the log-Hu map, the ascending bin sum, and exactly
+// the bins that are not ±0.0, in ascending order.
+TEST(FeatureBankPackTest, RowInvariantsMatchDenseRows) {
+  for (const int bins_per_channel : kGeometries) {
+    const auto gallery = FuzzGallery(37, 5, bins_per_channel);
+    const FeatureBank bank = PackFeatureBank(gallery);
+    ASSERT_EQ(bank.nz_offsets.size(), gallery.size() + 1);
+    for (std::size_t i = 0; i < gallery.size(); ++i) {
+      const LogHuMap map = MakeLogHuMap(gallery[i].hu.data());
+      EXPECT_EQ(std::memcmp(&map, &bank.hu_maps[i], sizeof(LogHuMap)), 0)
+          << "hu map of view " << i;
+      EXPECT_TRUE(BitEq(bank.hist_sums[i], gallery[i].histogram.TotalMass()))
+          << "sum of view " << i;
+      std::vector<std::uint32_t> want_bins;
+      std::vector<double> want_values;
+      const auto& bins = gallery[i].histogram.bins();
+      for (std::size_t k = 0; k < bins.size(); ++k) {
+        if (bins[k] != 0.0) {
+          want_bins.push_back(static_cast<std::uint32_t>(k));
+          want_values.push_back(bins[k]);
+        }
+      }
+      const std::size_t b = bank.nz_offsets[i];
+      const std::size_t e = bank.nz_offsets[i + 1];
+      ASSERT_EQ(e - b, want_bins.size()) << "nonzeros of view " << i;
+      for (std::size_t k = 0; k < want_bins.size(); ++k) {
+        EXPECT_EQ(bank.nz_bins[b + k], want_bins[k]);
+        EXPECT_TRUE(BitEq(bank.nz_values[b + k], want_values[k]));
+      }
     }
   }
 }
@@ -141,46 +236,33 @@ TEST_P(BankKernelFuzzTest, ShapeArgminMatchesScalarLoop) {
   const auto queries = FuzzGallery(11, GetParam() + 1);
   const FeatureBank bank = PackFeatureBank(gallery);
   const std::size_t n = gallery.size();
-  for (const auto method : {ShapeMatchMethod::kI1, ShapeMatchMethod::kI2,
-                            ShapeMatchMethod::kI3}) {
+  for (const auto method : kShapeMethods) {
     for (const auto& q : queries) {
       for (const auto& [begin, end] :
            {std::pair<std::size_t, std::size_t>{0, n}, {0, n / 2},
             {n / 2, n}, {3, 3}}) {
-        const PartialBest cold =
-            ShapeArgminOverRange(q, gallery, begin, end, method);
-        const PartialBest warm =
-            BankShapeArgminOverRange(q, bank, begin, end, method);
-        EXPECT_EQ(warm.found, cold.found);
-        if (cold.found) {
-          EXPECT_EQ(warm.score, cold.score);
-          EXPECT_EQ(warm.label, cold.label);
-        }
+        ExpectSamePartial(
+            BankShapeArgminOverRange(q, bank, begin, end, method),
+            ShapeArgminOverRange(q, gallery, begin, end, method));
       }
     }
   }
 }
 
 TEST_P(BankKernelFuzzTest, ColorArgbestMatchesScalarLoop) {
-  const auto gallery = FuzzGallery(47, GetParam());
-  const auto queries = FuzzGallery(11, GetParam() + 1);
-  const FeatureBank bank = PackFeatureBank(gallery);
-  const std::size_t n = gallery.size();
-  for (const auto method :
-       {HistCompareMethod::kCorrelation, HistCompareMethod::kChiSquare,
-        HistCompareMethod::kIntersection, HistCompareMethod::kHellinger}) {
-    for (const auto& q : queries) {
-      for (const auto& [begin, end] :
-           {std::pair<std::size_t, std::size_t>{0, n}, {0, n / 2},
-            {n / 2, n}}) {
-        const PartialBest cold =
-            ColorArgbestOverRange(q, gallery, begin, end, method);
-        const PartialBest warm =
-            BankColorArgbestOverRange(q, bank, begin, end, method);
-        EXPECT_EQ(warm.found, cold.found);
-        if (cold.found) {
-          EXPECT_EQ(warm.score, cold.score);
-          EXPECT_EQ(warm.label, cold.label);
+  for (const int bins_per_channel : kGeometries) {
+    const auto gallery = FuzzGallery(47, GetParam(), bins_per_channel);
+    const auto queries = FuzzGallery(11, GetParam() + 1, bins_per_channel);
+    const FeatureBank bank = PackFeatureBank(gallery);
+    const std::size_t n = gallery.size();
+    for (const auto method : kColorMethods) {
+      for (const auto& q : queries) {
+        for (const auto& [begin, end] :
+             {std::pair<std::size_t, std::size_t>{0, n}, {0, n / 2},
+              {n / 2, n}}) {
+          ExpectSamePartial(
+              BankColorArgbestOverRange(q, bank, begin, end, method),
+              ColorArgbestOverRange(q, gallery, begin, end, method));
         }
       }
     }
@@ -188,31 +270,35 @@ TEST_P(BankKernelFuzzTest, ColorArgbestMatchesScalarLoop) {
 }
 
 TEST_P(BankKernelFuzzTest, HybridScoresMatchScalarLoop) {
-  const auto gallery = FuzzGallery(47, GetParam());
-  const auto queries = FuzzGallery(11, GetParam() + 1);
-  const FeatureBank bank = PackFeatureBank(gallery);
-  const std::size_t n = gallery.size();
-  for (const auto& q : queries) {
-    for (const bool use_shape : {true, false}) {
-      for (const bool use_color : {true, false}) {
-        std::vector<double> cold_s(n, kUnusableScore);
-        std::vector<double> cold_c(n, kUnusableScore);
-        std::vector<double> warm_s(n, kUnusableScore);
-        std::vector<double> warm_c(n, kUnusableScore);
-        std::size_t cold_su = 0, cold_cu = 0, warm_su = 0, warm_cu = 0;
-        ComputeHybridScoresOverRange(q, gallery, 0, n, ShapeMatchMethod::kI3,
-                                     HistCompareMethod::kHellinger, use_shape,
-                                     use_color, &cold_s, &cold_c, &cold_su,
-                                     &cold_cu);
-        BankHybridScoresOverRange(q, bank, 0, n, ShapeMatchMethod::kI3,
-                                  HistCompareMethod::kHellinger, use_shape,
-                                  use_color, &warm_s, &warm_c, &warm_su,
-                                  &warm_cu);
-        EXPECT_EQ(warm_su, cold_su);
-        EXPECT_EQ(warm_cu, cold_cu);
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(warm_s[i], cold_s[i]) << "shape score " << i;
-          EXPECT_EQ(warm_c[i], cold_c[i]) << "color score " << i;
+  for (const int bins_per_channel : kGeometries) {
+    const auto gallery = FuzzGallery(47, GetParam(), bins_per_channel);
+    const auto queries = FuzzGallery(11, GetParam() + 1, bins_per_channel);
+    const FeatureBank bank = PackFeatureBank(gallery);
+    const std::size_t n = gallery.size();
+    for (const auto shape_method : kShapeMethods) {
+      for (const auto color_method : kColorMethods) {
+        for (const auto& q : queries) {
+          for (const bool use_shape : {true, false}) {
+            for (const bool use_color : {true, false}) {
+              std::vector<double> cold_s(n, kUnusableScore);
+              std::vector<double> cold_c(n, kUnusableScore);
+              std::vector<double> warm_s(n, kUnusableScore);
+              std::vector<double> warm_c(n, kUnusableScore);
+              std::size_t cold_su = 0, cold_cu = 0, warm_su = 0, warm_cu = 0;
+              ComputeHybridScoresOverRange(
+                  q, gallery, 0, n, shape_method, color_method, use_shape,
+                  use_color, &cold_s, &cold_c, &cold_su, &cold_cu);
+              BankHybridScoresOverRange(q, bank, 0, n, shape_method,
+                                        color_method, use_shape, use_color,
+                                        &warm_s, &warm_c, &warm_su, &warm_cu);
+              EXPECT_EQ(warm_su, cold_su);
+              EXPECT_EQ(warm_cu, cold_cu);
+              for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_TRUE(BitEq(warm_s[i], cold_s[i])) << "shape " << i;
+                EXPECT_TRUE(BitEq(warm_c[i], cold_c[i])) << "color " << i;
+              }
+            }
+          }
         }
       }
     }
@@ -228,25 +314,16 @@ TEST_P(BankKernelFuzzTest, CandidateSubsetMatchesRestrictedScan) {
   const std::vector<int> cands = {0, 1, 5, 8, 13, 21, 34, 40, 46};
   std::vector<ImageFeatures> sub;
   for (int c : cands) sub.push_back(gallery[static_cast<std::size_t>(c)]);
-  const FeatureBank sub_bank = PackFeatureBank(sub);
   for (const auto& q : queries) {
-    const PartialBest warm = BankShapeArgminOverCandidates(
-        q, bank, cands, ShapeMatchMethod::kI2);
-    const PartialBest cold = ShapeArgminOverRange(q, sub, 0, sub.size(),
-                                                  ShapeMatchMethod::kI2);
-    EXPECT_EQ(warm.found, cold.found);
-    if (cold.found) {
-      EXPECT_EQ(warm.score, cold.score);
-      EXPECT_EQ(warm.label, cold.label);
+    for (const auto method : kShapeMethods) {
+      ExpectSamePartial(
+          BankShapeArgminOverCandidates(q, bank, cands, method),
+          ShapeArgminOverRange(q, sub, 0, sub.size(), method));
     }
-    const PartialBest warm_c = BankColorArgbestOverCandidates(
-        q, bank, cands, HistCompareMethod::kIntersection);
-    const PartialBest cold_c = ColorArgbestOverRange(
-        q, sub, 0, sub.size(), HistCompareMethod::kIntersection);
-    EXPECT_EQ(warm_c.found, cold_c.found);
-    if (cold_c.found) {
-      EXPECT_EQ(warm_c.score, cold_c.score);
-      EXPECT_EQ(warm_c.label, cold_c.label);
+    for (const auto method : kColorMethods) {
+      ExpectSamePartial(
+          BankColorArgbestOverCandidates(q, bank, cands, method),
+          ColorArgbestOverRange(q, sub, 0, sub.size(), method));
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "features/histogram.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -185,6 +186,78 @@ TEST(EmptyHistCompareTest, CorrelationOneSidedFlatIsAntiCorrelated) {
   EXPECT_DOUBLE_EQ(
       CompareHistograms(uniform, uniform, HistCompareMethod::kCorrelation),
       1.0);
+}
+
+// Regression tests for non-finite bins: every metric must report NaN when
+// either operand holds a NaN or infinite bin, so the classifiers' isfinite
+// skip discards the pair. Before, Hellinger returned 0.0 (a perfect match)
+// for any such pair because std::max(0.0, NaN) is 0.0, Intersection hid a
+// gallery-side NaN through std::min, and Chi-square hid a query-side NaN
+// through its `a > 0` guard.
+// 512 bins, bin i holding (7i + offset) mod 13 before normalization.
+ColorHistogram Spread512(std::size_t offset) {
+  ColorHistogram h(8);
+  for (std::size_t i = 0; i < h.num_bins(); ++i) {
+    h.bins()[i] = static_cast<double>((i * 7 + offset) % 13);
+  }
+  h.NormalizeL1();
+  return h;
+}
+
+void ExpectNaNForNonFiniteBins(HistCompareMethod method) {
+  const ColorHistogram clean_a = Spread512(1);
+  const ColorHistogram clean_b = Spread512(5);
+  ASSERT_EQ(clean_b.bins()[3], 0.0);
+  ASSERT_EQ(clean_a.bins()[11], 0.0);
+  ASSERT_TRUE(std::isfinite(CompareHistograms(clean_a, clean_b, method)));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    // One corrupt bin on either side: bin 0 is occupied on both sides,
+    // bin 3 is empty in clean_b and bin 11 is empty in clean_a.
+    for (const std::size_t bin : {0u, 3u, 11u}) {
+      ColorHistogram bad_a = clean_a;
+      ColorHistogram bad_b = clean_b;
+      bad_a.bins()[bin] = bad;
+      bad_b.bins()[bin] = bad;
+      EXPECT_TRUE(std::isnan(CompareHistograms(bad_a, clean_b, method)))
+          << "query-side " << bad << " in bin " << bin;
+      EXPECT_TRUE(std::isnan(CompareHistograms(clean_a, bad_b, method)))
+          << "gallery-side " << bad << " in bin " << bin;
+    }
+  }
+}
+
+TEST(NonFiniteHistCompareTest, CorrelationReturnsNaN) {
+  ExpectNaNForNonFiniteBins(HistCompareMethod::kCorrelation);
+  // Against a flat operand the one-side-flat rule used to answer -1.0 and
+  // hide the NaN on the other side.
+  ColorHistogram flat(8);
+  ColorHistogram bad = Spread512(1);
+  bad.bins()[0] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(
+      CompareHistograms(bad, flat, HistCompareMethod::kCorrelation)));
+  EXPECT_TRUE(std::isnan(
+      CompareHistograms(flat, bad, HistCompareMethod::kCorrelation)));
+}
+
+TEST(NonFiniteHistCompareTest, ChiSquareReturnsNaN) {
+  ExpectNaNForNonFiniteBins(HistCompareMethod::kChiSquare);
+}
+
+TEST(NonFiniteHistCompareTest, IntersectionReturnsNaN) {
+  ExpectNaNForNonFiniteBins(HistCompareMethod::kIntersection);
+}
+
+TEST(NonFiniteHistCompareTest, HellingerReturnsNaN) {
+  ExpectNaNForNonFiniteBins(HistCompareMethod::kHellinger);
+  // A negative bin makes a sqrt(a * b) term NaN, which the clamp used to
+  // turn into a perfect 0.0 as well.
+  ColorHistogram negative = Spread512(1);
+  negative.bins()[4] = -negative.bins()[4];
+  ASSERT_GT(Spread512(5).bins()[4], 0.0);
+  EXPECT_TRUE(std::isnan(CompareHistograms(negative, Spread512(5),
+                                           HistCompareMethod::kHellinger)));
 }
 
 TEST(HistCompareTest, RawCoreMatchesWrapper) {
