@@ -154,9 +154,9 @@ void BM_BruteForceKnn(benchmark::State& state) {
 BENCHMARK(BM_BruteForceKnn)->Arg(100)->Arg(500);
 
 // ------------------------------------------------ SoA bank kernels --------
-// Scalar AoS loop vs. the contiguous bank kernels over the same gallery,
-// and the ANN candidate + exact-rerank path. `match_s` is seconds of
-// matching per query; the bank/ANN rows are the sub-linear matching win.
+// The bank kernels' full scan and the ANN candidate + exact-rerank path
+// over the same gallery. `match_s` is seconds of matching per query; the
+// ANN rows are the sub-linear matching win.
 
 /// Random views; with `occupied` > 0 each histogram keeps at most that
 /// many nonzero bins (rendered views occupy a median 21 of 512).
@@ -190,20 +190,6 @@ void SetMatchSeconds(benchmark::State& state, std::size_t queries_per_iter) {
           benchmark::Counter::kInvert);
 }
 
-void BM_ScalarShapeArgmin(benchmark::State& state) {
-  const auto gallery = RandomGallery(
-      static_cast<std::size_t>(state.range(0)), 11);
-  const auto queries = RandomGallery(16, 12);
-  for (auto _ : state) {
-    for (const ImageFeatures& q : queries) {
-      benchmark::DoNotOptimize(ShapeArgminOverRange(
-          q, gallery, 0, gallery.size(), ShapeMatchMethod::kI3));
-    }
-  }
-  SetMatchSeconds(state, queries.size());
-}
-BENCHMARK(BM_ScalarShapeArgmin)->Arg(1024)->Arg(4096);
-
 void BM_BankShapeArgmin(benchmark::State& state) {
   const auto gallery = RandomGallery(
       static_cast<std::size_t>(state.range(0)), 11);
@@ -218,20 +204,6 @@ void BM_BankShapeArgmin(benchmark::State& state) {
   SetMatchSeconds(state, queries.size());
 }
 BENCHMARK(BM_BankShapeArgmin)->Arg(1024)->Arg(4096);
-
-void BM_ScalarColorArgbest(benchmark::State& state) {
-  const auto gallery = RandomGallery(
-      static_cast<std::size_t>(state.range(0)), 11);
-  const auto queries = RandomGallery(16, 12);
-  for (auto _ : state) {
-    for (const ImageFeatures& q : queries) {
-      benchmark::DoNotOptimize(ColorArgbestOverRange(
-          q, gallery, 0, gallery.size(), HistCompareMethod::kHellinger));
-    }
-  }
-  SetMatchSeconds(state, queries.size());
-}
-BENCHMARK(BM_ScalarColorArgbest)->Arg(1024)->Arg(4096);
 
 // Args: gallery views, occupied bins per histogram (0 = all 512). The
 // sparse rows are what the Hellinger kernel's nonzero-bin scan is for.

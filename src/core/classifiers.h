@@ -25,6 +25,18 @@ enum class HybridStrategy {
   kMacroAverage,
 };
 
+/// \brief How one query was answered.
+enum class Degradation {
+  /// On every modality the approach asked for.
+  kNone,
+  /// Colour modality unusable for the input; matched on shape alone.
+  kShapeOnly,
+  /// Shape modality unusable for the input; matched on colour alone.
+  kColorOnly,
+  /// No view produced a usable score; the fallback label was used.
+  kFallback,
+};
+
 /// \brief Counters describing how often a classifier had to shed a
 /// modality to keep answering (graceful degradation, never a crash).
 struct DegradationStats {
@@ -36,18 +48,25 @@ struct DegradationStats {
   std::uint64_t fallback = 0;
 
   std::uint64_t total() const { return shape_only + color_only + fallback; }
+
+  /// Counts one query's outcome.
+  void Record(Degradation degradation);
 };
+
+struct FeatureBank;  // core/feature_bank.h
 
 /// \brief Base class for gallery-matching classifiers: the predicted label
 /// comes from the reference view(s) optimising a similarity or distance
 /// function against the input.
 ///
-/// Construction tolerates an empty gallery (every prediction is then the
-/// fallback label); use `MakeClassifier` for a validating factory.
+/// Construction packs the gallery into a `FeatureBank` once; every scan
+/// runs the bank kernels on the caller's thread. It tolerates an empty
+/// gallery (every prediction is then the fallback label); use
+/// `MakeClassifier` for a validating factory.
 class MatchingClassifier {
  public:
-  explicit MatchingClassifier(std::vector<ImageFeatures> gallery);
-  virtual ~MatchingClassifier() = default;
+  explicit MatchingClassifier(const std::vector<ImageFeatures>& gallery);
+  virtual ~MatchingClassifier();
 
   /// Predicts the class of one input's features. Never fails: degraded
   /// inputs fall back to the surviving modality (see `degradation()`).
@@ -57,7 +76,8 @@ class MatchingClassifier {
   [[nodiscard]] std::vector<ObjectClass> ClassifyAll(
       const std::vector<ImageFeatures>& inputs);
 
-  const std::vector<ImageFeatures>& gallery() const { return gallery_; }
+  /// The packed gallery.
+  const FeatureBank& bank() const { return *bank_; }
 
   /// How often Classify had to degrade since construction.
   const DegradationStats& degradation() const { return degradation_; }
@@ -69,7 +89,7 @@ class MatchingClassifier {
   DegradationStats degradation_;
 
  private:
-  std::vector<ImageFeatures> gallery_;
+  std::unique_ptr<const FeatureBank> bank_;
 };
 
 /// True when the input carries a usable contour-shape modality (valid
@@ -96,21 +116,6 @@ struct PartialBest {
   bool found = false;
 };
 
-/// Shape-only partial argmin over gallery views [begin, end): skips
-/// invalid views and non-finite (poisoned) scores, keeps the first strict
-/// minimum. Exactly the loop body of ShapeOnlyClassifier::Classify.
-[[nodiscard]] PartialBest ShapeArgminOverRange(
-    const ImageFeatures& input, const std::vector<ImageFeatures>& gallery,
-    std::size_t begin, std::size_t end, ShapeMatchMethod method);
-
-/// Colour-only partial arg-optimum over gallery views [begin, end):
-/// maximises similarity metrics, minimises distance metrics, skipping
-/// invalid views and non-finite scores. Exactly the loop body of
-/// ColorOnlyClassifier::Classify.
-[[nodiscard]] PartialBest ColorArgbestOverRange(
-    const ImageFeatures& input, const std::vector<ImageFeatures>& gallery,
-    std::size_t begin, std::size_t end, HistCompareMethod method);
-
 /// Colour comparison as a "smaller is better" score the way the paper
 /// uses it in theta: distances pass through, similarities are inverted.
 [[nodiscard]] double HybridColorDistance(const ColorHistogram& a,
@@ -123,38 +128,55 @@ struct PartialBest {
 [[nodiscard]] double HybridColorDistanceFromScore(double score,
                                                   HistCompareMethod method);
 
-/// Fills `shape_scores`/`color_scores` (pre-sized to the gallery, filled
-/// with kUnusableScore) for gallery views [begin, end) and counts the
-/// usable scores of each requested modality. The per-view arithmetic is
-/// the one the HybridClassifier runs, so a sharded fill produces
-/// bit-identical score vectors.
-void ComputeHybridScoresOverRange(
-    const ImageFeatures& input, const std::vector<ImageFeatures>& gallery,
-    std::size_t begin, std::size_t end, ShapeMatchMethod shape_method,
-    HistCompareMethod color_method, bool use_shape, bool use_color,
-    std::vector<double>* shape_scores, std::vector<double>* color_scores,
-    std::size_t* shape_usable, std::size_t* color_usable);
+/// \brief One query's answer and how it degraded.
+struct MatchOutcome {
+  ObjectClass label = ObjectClass::kChair;
+  Degradation degradation = Degradation::kNone;
+};
 
-/// Combines per-view modality scores into theta: alpha*S + beta*C when
-/// both modalities are live, the surviving modality alone otherwise.
-/// Entries stay kUnusableScore when a required score is unusable.
-[[nodiscard]] std::vector<double> AssembleHybridTheta(
-    const std::vector<double>& shape_scores,
-    const std::vector<double>& color_scores, double alpha, double beta,
-    bool shape_live, bool color_live);
+/// The answer of a shape-only or colour-only approach from the query's
+/// partial optimum over the whole gallery: the best view's label, or
+/// `fallback` (a kFallback degradation) when no view produced a usable
+/// score, including a query the approach could not score at all.
+[[nodiscard]] MatchOutcome ArgminOutcome(const PartialBest& best,
+                                         ObjectClass fallback);
 
-/// The three argmin strategies of §3.2 over a per-view theta vector
-/// (index-aligned with `gallery`); `fallback` wins when no view is
-/// usable. Shared by HybridClassifier and the serve-side BatchEngine.
-[[nodiscard]] ObjectClass HybridArgminLabel(
-    const std::vector<double>& theta,
-    const std::vector<ImageFeatures>& gallery, HybridStrategy strategy,
-    ObjectClass fallback);
+/// \brief Per-view modality scores of one query for the hybrid pipeline,
+/// index-aligned with the bank and filled by the Bank*HybridScores*
+/// kernels. kUnusableScore marks a view whose score is unusable.
+struct HybridScores {
+  HybridScores(std::size_t num_views, bool shape_requested,
+               bool color_requested)
+      : use_shape(shape_requested),
+        use_color(color_requested),
+        shape(num_views, kUnusableScore),
+        color(num_views, kUnusableScore) {}
+
+  /// The modalities the query carries (and so the kernels score).
+  bool use_shape;
+  bool use_color;
+  std::vector<double> shape;
+  std::vector<double> color;
+  /// Usable scores per modality.
+  std::size_t shape_usable = 0;
+  std::size_t color_usable = 0;
+};
+
+/// The hybrid answer (§3.2) from one query's per-view scores. A modality
+/// whose every view score is unusable collapses and the surviving one
+/// drives theta alone (a kShapeOnly / kColorOnly degradation); both live
+/// give theta = alpha*S + beta*C; neither live gives `fallback`
+/// (kFallback). `strategy` reduces theta over the bank's views.
+[[nodiscard]] MatchOutcome HybridOutcome(const HybridScores& scores,
+                                         double alpha, double beta,
+                                         HybridStrategy strategy,
+                                         const FeatureBank& bank,
+                                         ObjectClass fallback);
 
 /// \brief Uniform random label assignment (the paper's reference baseline).
 class RandomBaselineClassifier : public MatchingClassifier {
  public:
-  RandomBaselineClassifier(std::vector<ImageFeatures> gallery,
+  RandomBaselineClassifier(const std::vector<ImageFeatures>& gallery,
                            std::uint64_t seed);
 
   ObjectClass Classify(const ImageFeatures& input) override;
@@ -167,7 +189,7 @@ class RandomBaselineClassifier : public MatchingClassifier {
 /// over all gallery views (§3.2, "Shape only L1/L2/L3").
 class ShapeOnlyClassifier : public MatchingClassifier {
  public:
-  ShapeOnlyClassifier(std::vector<ImageFeatures> gallery,
+  ShapeOnlyClassifier(const std::vector<ImageFeatures>& gallery,
                       ShapeMatchMethod method);
 
   ObjectClass Classify(const ImageFeatures& input) override;
@@ -180,7 +202,7 @@ class ShapeOnlyClassifier : public MatchingClassifier {
 /// all gallery views (§3.2, "Color only ...").
 class ColorOnlyClassifier : public MatchingClassifier {
  public:
-  ColorOnlyClassifier(std::vector<ImageFeatures> gallery,
+  ColorOnlyClassifier(const std::vector<ImageFeatures>& gallery,
                       HistCompareMethod method);
 
   ObjectClass Classify(const ImageFeatures& input) override;
@@ -195,7 +217,7 @@ class ColorOnlyClassifier : public MatchingClassifier {
 /// the paper.
 class HybridClassifier : public MatchingClassifier {
  public:
-  HybridClassifier(std::vector<ImageFeatures> gallery,
+  HybridClassifier(const std::vector<ImageFeatures>& gallery,
                    ShapeMatchMethod shape_method,
                    HistCompareMethod color_method, double alpha, double beta,
                    HybridStrategy strategy);
@@ -207,22 +229,15 @@ class HybridClassifier : public MatchingClassifier {
   ObjectClass Classify(const ImageFeatures& input) override;
 
   /// The per-view theta scores for one input (exposed for tests and
-  /// diagnostics); index-aligned with gallery(). Views whose score is
+  /// diagnostics); index-aligned with bank(). Views whose score is
   /// non-finite (e.g. an injected NaN) are reported as unusable (a huge
   /// positive sentinel that argmin never selects).
   [[nodiscard]] std::vector<double> ViewScores(const ImageFeatures& input) const;
 
  private:
-  /// Per-view theta restricted to the usable modalities. On return,
-  /// `*shape_live`/`*color_live` (optional) say whether each requested
-  /// modality actually contributed — a modality whose every view score
-  /// is poisoned collapses and the survivor drives theta alone.
-  std::vector<double> ScoresForModes(const ImageFeatures& input,
-                                     bool use_shape, bool use_color,
-                                     bool* shape_live = nullptr,
-                                     bool* color_live = nullptr) const;
-
-  ObjectClass ArgminLabel(const std::vector<double>& theta) const;
+  /// Scores every view on the requested modalities.
+  HybridScores ScoreViews(const ImageFeatures& input, bool use_shape,
+                          bool use_color) const;
 
   ShapeMatchMethod shape_method_;
   HistCompareMethod color_method_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/feature_bank.h"
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -86,45 +88,95 @@ std::vector<ApproachSpec> Table2Approaches(double alpha, double beta) {
   return specs;
 }
 
+Status ValidateGallery(const ApproachSpec& spec, const FeatureBank& bank,
+                       const std::string& action) {
+  if (bank.empty()) {
+    return Status::InvalidArgument("cannot " + action +
+                                   " over an empty gallery");
+  }
+  if (spec.kind != ApproachSpec::Kind::kBaseline &&
+      std::none_of(bank.valid.begin(), bank.valid.end(),
+                   [](std::uint8_t v) { return v != 0; })) {
+    return Status::Unavailable(
+        "gallery has no valid view to match against (all " +
+        std::to_string(bank.size()) + " entries failed extraction)");
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<MatchingClassifier>> MakeClassifier(
-    const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+    const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
     std::uint64_t baseline_seed) {
-  if (gallery.empty()) {
-    return Status::InvalidArgument("cannot build " + spec.DisplayName() +
-                                   " classifier over an empty gallery");
-  }
-  if (spec.kind != ApproachSpec::Kind::kBaseline) {
-    const bool any_valid =
-        std::any_of(gallery.begin(), gallery.end(),
-                    [](const ImageFeatures& f) { return f.valid; });
-    if (!any_valid) {
-      return Status::Unavailable(
-          "gallery has no valid view to match against (all " +
-          std::to_string(gallery.size()) + " entries failed extraction)");
-    }
-  }
   std::unique_ptr<MatchingClassifier> classifier;
   switch (spec.kind) {
     case ApproachSpec::Kind::kBaseline:
-      classifier = std::make_unique<RandomBaselineClassifier>(
-          std::move(gallery), baseline_seed);
+      classifier =
+          std::make_unique<RandomBaselineClassifier>(gallery, baseline_seed);
       break;
     case ApproachSpec::Kind::kShape:
-      classifier = std::make_unique<ShapeOnlyClassifier>(std::move(gallery),
-                                                         spec.shape);
+      classifier = std::make_unique<ShapeOnlyClassifier>(gallery, spec.shape);
       break;
     case ApproachSpec::Kind::kColor:
-      classifier = std::make_unique<ColorOnlyClassifier>(std::move(gallery),
-                                                         spec.color);
+      classifier = std::make_unique<ColorOnlyClassifier>(gallery, spec.color);
       break;
     case ApproachSpec::Kind::kHybrid:
       classifier = std::make_unique<HybridClassifier>(
-          std::move(gallery), spec.shape, spec.color, spec.alpha, spec.beta,
+          gallery, spec.shape, spec.color, spec.alpha, spec.beta,
           spec.strategy);
       break;
   }
   SNOR_CHECK_MSG(classifier != nullptr, "unknown approach kind");
+  SNOR_RETURN_NOT_OK(ValidateGallery(
+      spec, classifier->bank(),
+      "build " + spec.DisplayName() + " classifier"));
   return classifier;
+}
+
+RunLedger BuildRunLedger(const std::vector<ImageFeatures>& inputs,
+                         obs::Counter& skipped) {
+  RunLedger ledger;
+  ledger.attempted = inputs.size();
+  ledger.eligible.reserve(inputs.size());
+  ledger.truth.reserve(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const ImageFeatures& f = inputs[i];
+    if (!f.valid && !f.status.ok() &&
+        f.status.code() != StatusCode::kNotFound) {
+      // Ingest-level failure (IO fault, unavailable frame): skip the
+      // item and record it; it degrades coverage, not correctness.
+      ledger.errors.push_back({static_cast<int>(i), "ingest", f.status});
+      skipped.Increment();
+      continue;
+    }
+    if (!f.valid) {
+      // Preprocess-level failure (no foreground component): keep the
+      // paper's behaviour — fallback-classified and counted — but leave
+      // a ledger entry so the impairment is visible.
+      ledger.errors.push_back(
+          {static_cast<int>(i), "preprocess",
+           f.status.ok() ? Status::NotFound("no foreground component")
+                         : f.status});
+    }
+    ledger.eligible.push_back(&f);
+    ledger.truth.push_back(f.label);
+  }
+  return ledger;
+}
+
+EvalReport FinishRunReport(RunLedger ledger,
+                           const std::vector<ObjectClass>& predictions,
+                           const DegradationStats& degradation,
+                           StageTiming timing) {
+  const Stopwatch score_clock;
+  EvalReport report = Evaluate(ledger.truth, predictions);
+  timing.score_s = score_clock.ElapsedSeconds();
+
+  report.attempted = static_cast<int>(ledger.attempted);
+  report.errors = std::move(ledger.errors);
+  report.degraded_shape_only = degradation.shape_only;
+  report.degraded_color_only = degradation.color_only;
+  report.timing = timing;
+  return report;
 }
 
 ExperimentContext::ExperimentContext(const ExperimentConfig& config)
@@ -227,12 +279,6 @@ Result<EvalReport> ExperimentContext::RunApproach(
                         MakeClassifier(spec, gallery, config_.seed));
   timing.extract_s = stage_clock.ElapsedSeconds();
 
-  std::vector<ObjectClass> truth;
-  std::vector<ObjectClass> predictions;
-  std::vector<ItemError> errors;
-  truth.reserve(inputs.size());
-  predictions.reserve(inputs.size());
-
   static obs::Histogram& classify_latency_us =
       obs::MetricsRegistry::Global().histogram("core.classify.latency_us");
   static obs::Counter& classified_counter =
@@ -241,49 +287,22 @@ Result<EvalReport> ExperimentContext::RunApproach(
       obs::MetricsRegistry::Global().counter("core.classify.skipped");
 
   stage_clock.Reset();
+  RunLedger ledger = BuildRunLedger(inputs, skipped_counter);
+  std::vector<ObjectClass> predictions;
+  predictions.reserve(ledger.eligible.size());
   {
     SNOR_TRACE_SPAN("core.classify.match");
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      const ImageFeatures& f = inputs[i];
-      if (!f.valid && !f.status.ok() &&
-          f.status.code() != StatusCode::kNotFound) {
-        // Ingest-level failure (IO fault, unavailable frame): skip the
-        // item and record it; it degrades coverage, not correctness.
-        errors.push_back({static_cast<int>(i), "ingest", f.status});
-        skipped_counter.Increment();
-        continue;
-      }
-      if (!f.valid) {
-        // Preprocess-level failure (no foreground component): keep the
-        // paper's behaviour — fallback-classified and counted — but leave
-        // a ledger entry so the impairment is visible.
-        errors.push_back(
-            {static_cast<int>(i), "preprocess",
-             f.status.ok() ? Status::NotFound("no foreground component")
-                           : f.status});
-      }
-      truth.push_back(f.label);
+    for (const ImageFeatures* f : ledger.eligible) {
       const obs::ScopedLatencyUs item_latency(classify_latency_us);
-      predictions.push_back(classifier->Classify(f));
+      predictions.push_back(classifier->Classify(*f));
     }
   }
   timing.match_s = stage_clock.ElapsedSeconds();
   classified_counter.Increment(predictions.size());
 
-  stage_clock.Reset();
-  EvalReport report;
-  {
-    SNOR_TRACE_SPAN("core.classify.score");
-    report = Evaluate(truth, predictions);
-  }
-  timing.score_s = stage_clock.ElapsedSeconds();
-
-  report.attempted = static_cast<int>(inputs.size());
-  report.errors = std::move(errors);
-  report.degraded_shape_only = classifier->degradation().shape_only;
-  report.degraded_color_only = classifier->degradation().color_only;
-  report.timing = timing;
-  return report;
+  SNOR_TRACE_SPAN("core.classify.score");
+  return FinishRunReport(std::move(ledger), predictions,
+                         classifier->degradation(), timing);
 }
 
 std::vector<ObjectClass> TruthLabels(

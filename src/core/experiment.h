@@ -13,6 +13,10 @@
 
 namespace snor {
 
+namespace obs {
+class Counter;
+}  // namespace obs
+
 /// \brief One named matching configuration from Table 2.
 struct ApproachSpec {
   enum class Kind { kBaseline, kShape, kColor, kHybrid };
@@ -34,13 +38,45 @@ struct ApproachSpec {
 std::vector<ApproachSpec> Table2Approaches(double alpha = 0.3,
                                            double beta = 0.7);
 
-/// Builds the classifier described by `spec` over a gallery. Fails with
-/// `InvalidArgument` on an empty gallery and with `Unavailable` when the
-/// gallery has no valid view to match against — a truncated gallery file
-/// or an all-faulted load must not take down the caller.
+/// Checks that a packed gallery can serve `spec`: `InvalidArgument`
+/// ("cannot <action> over an empty gallery") when it is empty, and
+/// `Unavailable` when a non-baseline approach has no valid view to match
+/// against — a truncated gallery file or an all-faulted load must not
+/// take down the caller. The one gallery check of `MakeClassifier` and
+/// `serve::BatchEngine::CreateFromBank`.
+[[nodiscard]] Status ValidateGallery(const ApproachSpec& spec,
+                                     const FeatureBank& bank,
+                                     const std::string& action);
+
+/// Builds the classifier described by `spec` over a gallery, failing as
+/// `ValidateGallery` does.
 [[nodiscard]] Result<std::unique_ptr<MatchingClassifier>> MakeClassifier(
-    const ApproachSpec& spec, std::vector<ImageFeatures> gallery,
+    const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
     std::uint64_t baseline_seed = 2019);
+
+/// \brief What one approach run classifies: the eligible inputs in order,
+/// their truth labels, and the per-item error ledger.
+struct RunLedger {
+  /// Inputs presented to the run, including skipped ones.
+  std::size_t attempted = 0;
+  std::vector<const ImageFeatures*> eligible;
+  /// Index-aligned with `eligible`.
+  std::vector<ObjectClass> truth;
+  std::vector<ItemError> errors;
+};
+
+/// The skip/ledger rule of `ExperimentContext::RunApproach` and its warm
+/// twin `serve::RunApproachBatched`: ingest failures are skipped, recorded
+/// and counted on `skipped`; preprocess failures stay eligible (they are
+/// fallback-classified, as in the paper) and are recorded.
+[[nodiscard]] RunLedger BuildRunLedger(
+    const std::vector<ImageFeatures>& inputs, obs::Counter& skipped);
+
+/// Scores a run's predictions (index-aligned with `ledger.eligible`),
+/// measuring `timing.score_s`, and fills the run-level report fields.
+[[nodiscard]] EvalReport FinishRunReport(
+    RunLedger ledger, const std::vector<ObjectClass>& predictions,
+    const DegradationStats& degradation, StageTiming timing);
 
 /// \brief Experiment-wide knobs shared by the bench harnesses.
 struct ExperimentConfig {

@@ -5,31 +5,36 @@
 /// Structure-of-arrays gallery feature banks and their batch distance
 /// kernels, plus the gallery-level ANN view index.
 ///
-/// The cold classifiers walk a `std::vector<ImageFeatures>` — an
-/// array-of-structs where every score computation chases a pointer into a
-/// separately heap-allocated histogram. The bank packs the per-view
-/// matching features (Hu moments, L1-normalized color histograms, labels,
-/// validity) into flat, padded, 64-byte-stride arrays so the per-view inner
-/// loops stream contiguous memory, and the descriptor banks do the same for
-/// float and binarized (BRIEF/ORB) keypoint descriptors.
+/// The bank packs the per-view matching features of a gallery (Hu
+/// moments, L1-normalized color histograms, labels, validity) into flat,
+/// padded, 64-byte-stride arrays so the per-view inner loops stream
+/// contiguous memory instead of chasing a pointer into every view's
+/// separately allocated histogram, and the descriptor banks do the same
+/// for float and binarized (BRIEF/ORB) keypoint descriptors. These
+/// kernels are the only gallery scan of the paper's matching approaches:
+/// the cold classifiers run them over the whole bank on the caller's
+/// thread, the sharded BatchEngine over shard ranges and ANN candidate
+/// lists on its workers.
 ///
 /// Kernel contract — bit identity. Every bank kernel computes each
-/// per-pair score with the same functions as the cold path, split where
-/// one side can be precomputed: shape scores are `MatchShapesFromMaps`
-/// over a per-row `LogHuMap` made at pack time (what `MatchShapesRaw`
-/// does per pair), and Hellinger scores are `HellingerFromSums` over a
-/// packed row sum and a sum of sqrt(q[k] * v) over the row's nonzero bins
-/// only. Skipping a zero bin is exact: its dense term is sqrt(q * ±0) =
-/// ±0 for any finite q, and adding ±0 leaves an ascending sum that
-/// starts at +0 unchanged; a query with a non-finite bin has a
-/// non-finite sum, which makes the score NaN either way. The other
-/// colour metrics call `CompareHistogramsRaw` on the dense row, descriptor
-/// kernels call `FloatDistanceRaw` / word-wise Hamming. Every kernel
-/// scans views in ascending index order with the same skip rules (invalid
-/// view, non-finite score) and strict comparisons, and probes
-/// `MaybePoisonScore` at the same per-view points, so batched results are
-/// bit-identical to the scalar `*OverRange` loops in classifiers.cc; the
-/// differential fuzz tests in tests/core_feature_bank_test.cc enforce it.
+/// per-pair score with the same arithmetic as the per-pair functions
+/// (`MatchShapes`, `CompareHistograms`, `HybridColorDistance`), split
+/// where one side can be precomputed: shape scores are
+/// `MatchShapesFromMaps` over a per-row `LogHuMap` made at pack time
+/// (what `MatchShapesRaw` does per pair), and Hellinger scores are
+/// `HellingerFromSums` over a packed row sum and a sum of sqrt(q[k] * v)
+/// over the row's nonzero bins only. Skipping a zero bin is exact: its
+/// dense term is sqrt(q * ±0) = ±0 for any finite q, and adding ±0 leaves
+/// an ascending sum that starts at +0 unchanged; a query with a
+/// non-finite bin has a non-finite sum, which makes the score NaN either
+/// way. The other colour metrics call `CompareHistogramsRaw` on the dense
+/// row, descriptor kernels call `FloatDistanceRaw` / word-wise Hamming.
+/// Every kernel scans views in ascending index order, skips invalid views
+/// and non-finite scores, keeps the first strict optimum, and passes every
+/// shape score through `MaybePoisonScore`, so a range split into shards
+/// and merged in shard order answers exactly like one full scan.
+/// The differential fuzz tests in tests/core_feature_bank_test.cc check
+/// every kernel against a dense per-pair reference.
 
 #include <cstddef>
 #include <cstdint>
@@ -113,23 +118,26 @@ struct SNOR_OWNS_VIEWS FeatureBank {
 [[nodiscard]] std::vector<ImageFeatures> UnpackFeatureBank(
     const FeatureBank& bank);
 
-/// Bank equivalent of ShapeArgminOverRange: shape-only partial argmin over
-/// bank views [begin, end), bit-identical to the cold loop.
+/// Shape-only partial argmin over bank views [begin, end): the first
+/// strict minimum of the usable `MatchShapes` distances.
 [[nodiscard]] PartialBest BankShapeArgminOverRange(const ImageFeatures& input,
                                                    const FeatureBank& bank,
                                                    std::size_t begin,
                                                    std::size_t end,
                                                    ShapeMatchMethod method);
 
-/// Bank equivalent of ColorArgbestOverRange.
+/// Colour-only partial arg-optimum over bank views [begin, end): maximises
+/// similarity metrics, minimises distance metrics.
 [[nodiscard]] PartialBest BankColorArgbestOverRange(const ImageFeatures& input,
                                                     const FeatureBank& bank,
                                                     std::size_t begin,
                                                     std::size_t end,
                                                     HistCompareMethod method);
 
-/// Bank equivalent of ComputeHybridScoresOverRange; identical output and
-/// usable counts for the same range.
+/// Fills `shape_scores`/`color_scores` (pre-sized to the bank, filled
+/// with kUnusableScore) for bank views [begin, end) with each requested
+/// modality's usable per-view score (shape distance, HybridColorDistance
+/// of the colour score) and counts the usable scores of each modality.
 void BankHybridScoresOverRange(
     const ImageFeatures& input, const FeatureBank& bank, std::size_t begin,
     std::size_t end, ShapeMatchMethod shape_method,
@@ -155,8 +163,10 @@ void BankHybridScoresOverCandidates(
     std::vector<double>* shape_scores, std::vector<double>* color_scores,
     std::size_t* shape_usable, std::size_t* color_usable);
 
-/// HybridArgminLabel over bank labels/model ids (identical to the gallery
-/// overload since pack preserves both).
+/// The three argmin strategies of §3.2 over a per-view theta vector
+/// (index-aligned with the bank): weighted sum over views, micro-average
+/// over models, macro-average over classes. `fallback` wins when no view
+/// is usable.
 [[nodiscard]] ObjectClass BankHybridArgminLabel(
     const std::vector<double>& theta, const FeatureBank& bank,
     HybridStrategy strategy, ObjectClass fallback);

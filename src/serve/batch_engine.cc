@@ -35,19 +35,8 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::CreateFromBank(
     const ApproachSpec& spec, std::shared_ptr<const FeatureBank> bank,
     const BatchEngineOptions& options, std::uint64_t baseline_seed) {
   SNOR_CHECK(bank != nullptr);
-  if (bank->empty()) {
-    return Status::InvalidArgument("cannot shard " + spec.DisplayName() +
-                                   " over an empty gallery");
-  }
-  if (spec.kind != ApproachSpec::Kind::kBaseline) {
-    const bool any_valid = std::any_of(bank->valid.begin(), bank->valid.end(),
-                                       [](std::uint8_t v) { return v != 0; });
-    if (!any_valid) {
-      return Status::Unavailable(
-          "gallery has no valid view to match against (all " +
-          std::to_string(bank->size()) + " entries failed extraction)");
-    }
-  }
+  SNOR_RETURN_NOT_OK(
+      ValidateGallery(spec, *bank, "shard " + spec.DisplayName()));
   // NOLINTNEXTLINE(raw-new-delete): private ctor, immediately owned.
   return std::unique_ptr<BatchEngine>(new BatchEngine(
       spec, std::move(bank), options, baseline_seed));
@@ -118,6 +107,8 @@ std::vector<ObjectClass> BatchEngine::ClassifyBatch(
   static obs::Histogram& batch_latency_us =
       obs::MetricsRegistry::Global().histogram(
           "serve.engine.batch_latency_us");
+  static obs::Counter& full_scan_counter =
+      obs::MetricsRegistry::Global().counter("serve.engine.ann_full_scans");
   const obs::ScopedLatencyUs latency(batch_latency_us);
   batches.Increment();
   query_count.Increment(queries.size());
@@ -134,297 +125,212 @@ std::vector<ObjectClass> BatchEngine::ClassifyBatch(
     degradation_ = baseline_->degradation();
     return predictions;
   }
-  if (options_.match_mode == MatchMode::kAnn && index_.has_value()) {
-    if (spec_.kind == ApproachSpec::Kind::kHybrid) {
-      return ClassifyHybridAnn(queries, context_array);
-    }
-    return ClassifyPartialArgminAnn(queries, context_array);
-  }
-  if (spec_.kind == ApproachSpec::Kind::kHybrid) {
-    return ClassifyHybrid(queries, context_array);
-  }
-  return ClassifyPartialArgmin(queries, context_array);
-}
 
-std::vector<ObjectClass> BatchEngine::ClassifyPartialArgmin(
-    const std::vector<const ImageFeatures*>& queries,
-    const obs::TraceContext* contexts) {
   const std::size_t nq = queries.size();
-  const std::size_t ns = shards_.size();
-  const bool shape = spec_.kind == ApproachSpec::Kind::kShape;
-  const bool maximize = !shape && IsSimilarityMetric(spec_.color);
+  std::vector<Modes> modes(nq);
+  for (std::size_t q = 0; q < nq; ++q) modes[q] = QueryModes(*queries[q]);
+  std::vector<char> full_scans(nq, 0);  // GUARDED_BY(per_worker_slot)
+  const std::vector<MatchOutcome> outcomes =
+      spec_.kind == ApproachSpec::Kind::kHybrid
+          ? ClassifyHybrid(queries, context_array, modes, &full_scans)
+          : ClassifyArgmin(queries, context_array, modes, &full_scans);
 
-  std::vector<char> usable(nq);
+  // The shared tallies, applied sequentially after the workers joined.
+  std::vector<ObjectClass> predictions;
+  predictions.reserve(nq);
   for (std::size_t q = 0; q < nq; ++q) {
-    usable[q] = shape ? ShapeModalityUsable(*queries[q])
-                      : queries[q]->valid;
-  }
-
-  // One partial arg-optimum per (query, shard) cell, filled by the
-  // parallel task grid; every worker writes only its own cell.
-  std::vector<PartialBest> partials(nq * ns);  // GUARDED_BY(per_worker_slot)
-  ParallelFor(
-      nq * ns,
-      [&](std::size_t task) {
-        const std::size_t q = task / ns;
-        if (!usable[q]) return;
-        // Scope the scan span to the query's request chain (no-op when
-        // the batch carries no contexts).
-        std::optional<obs::ScopedTraceContext> scope;
-        if (contexts != nullptr) scope.emplace(contexts[q]);
-        SNOR_TRACE_SPAN("serve.engine.shard_scan");
-        const Shard& shard = shards_[task % ns];
-        // Bank kernels: same per-pair functions and skip rules as the
-        // cold *OverRange loops, streaming the SoA rows instead of
-        // chasing AoS pointers.
-        partials[task] =
-            shape ? BankShapeArgminOverRange(*queries[q], *bank_, shard.begin,
-                                             shard.end, spec_.shape)
-                  : BankColorArgbestOverRange(*queries[q], *bank_, shard.begin,
-                                              shard.end, spec_.color);
-      },
-      options_.n_threads);
-
-  // Sequential merge in ascending shard order: strict comparison keeps
-  // the lowest-index optimum, exactly like the cold sequential scan.
-  std::vector<ObjectClass> predictions(nq, FallbackLabel());
-  for (std::size_t q = 0; q < nq; ++q) {
-    if (!usable[q]) {
-      ++degradation_.fallback;
-      continue;
-    }
-    double best = maximize ? -kUnusableScore : kUnusableScore;
-    ObjectClass best_label = FallbackLabel();
-    for (std::size_t s = 0; s < ns; ++s) {
-      const PartialBest& p = partials[q * ns + s];
-      if (!p.found) continue;
-      const bool better = maximize ? p.score > best : p.score < best;
-      if (better) {
-        best = p.score;
-        best_label = p.label;
-      }
-    }
-    predictions[q] = best_label;
-  }
-  return predictions;
-}
-
-std::vector<ObjectClass> BatchEngine::ClassifyHybrid(
-    const std::vector<const ImageFeatures*>& queries,
-    const obs::TraceContext* contexts) {
-  const std::size_t nq = queries.size();
-  const std::size_t ns = shards_.size();
-  const std::size_t n = bank_->size();
-
-  std::vector<char> use_shape(nq);
-  std::vector<char> use_color(nq);
-  std::vector<std::vector<double>> shape_rows(nq);  // GUARDED_BY(per_worker_slot)
-  std::vector<std::vector<double>> color_rows(nq);  // GUARDED_BY(per_worker_slot)
-  for (std::size_t q = 0; q < nq; ++q) {
-    use_shape[q] = ShapeModalityUsable(*queries[q]);
-    use_color[q] = ColorModalityUsable(*queries[q]);
-    if (use_shape[q] || use_color[q]) {
-      shape_rows[q].assign(n, kUnusableScore);
-      color_rows[q].assign(n, kUnusableScore);
-    }
-  }
-
-  // Per-(query, shard) usable-score counts; summed per query after the
-  // barrier to decide modality collapse exactly like ScoresForModes.
-  std::vector<std::pair<std::size_t, std::size_t>> counts(nq * ns,  // GUARDED_BY(per_worker_slot)
-                                                          {0, 0});
-  ParallelFor(
-      nq * ns,
-      [&](std::size_t task) {
-        const std::size_t q = task / ns;
-        if (!use_shape[q] && !use_color[q]) return;
-        std::optional<obs::ScopedTraceContext> scope;
-        if (contexts != nullptr) scope.emplace(contexts[q]);
-        SNOR_TRACE_SPAN("serve.engine.shard_scan");
-        const Shard& shard = shards_[task % ns];
-        BankHybridScoresOverRange(
-            *queries[q], *bank_, shard.begin, shard.end, spec_.shape,
-            spec_.color, use_shape[q] != 0, use_color[q] != 0,
-            &shape_rows[q], &color_rows[q], &counts[task].first,
-            &counts[task].second);
-      },
-      options_.n_threads);
-
-  std::vector<ObjectClass> predictions(nq, FallbackLabel());
-  for (std::size_t q = 0; q < nq; ++q) {
-    if (!use_shape[q] && !use_color[q]) {
-      ++degradation_.fallback;
-      continue;
-    }
-    std::size_t shape_usable = 0;
-    std::size_t color_usable = 0;
-    for (std::size_t s = 0; s < ns; ++s) {
-      shape_usable += counts[q * ns + s].first;
-      color_usable += counts[q * ns + s].second;
-    }
-    const bool shape_live = use_shape[q] != 0 && shape_usable > 0;
-    const bool color_live = use_color[q] != 0 && color_usable > 0;
-    if (!shape_live && !color_live) {
-      ++degradation_.fallback;
-      continue;
-    }
-    if (shape_live != color_live) {
-      if (shape_live) {
-        ++degradation_.shape_only;
-      } else {
-        ++degradation_.color_only;
-      }
-    }
-    const std::vector<double> theta =
-        AssembleHybridTheta(shape_rows[q], color_rows[q], spec_.alpha,
-                            spec_.beta, shape_live, color_live);
-    predictions[q] =
-        BankHybridArgminLabel(theta, *bank_, spec_.strategy, FallbackLabel());
-  }
-  return predictions;
-}
-
-std::vector<ObjectClass> BatchEngine::ClassifyPartialArgminAnn(
-    const std::vector<const ImageFeatures*>& queries,
-    const obs::TraceContext* contexts) {
-  const std::size_t nq = queries.size();
-  const bool shape = spec_.kind == ApproachSpec::Kind::kShape;
-
-  std::vector<char> usable(nq);
-  for (std::size_t q = 0; q < nq; ++q) {
-    usable[q] = shape ? ShapeModalityUsable(*queries[q])
-                      : queries[q]->valid;
-  }
-
-  // One task per query: candidate retrieval is sub-linear, so sharding
-  // the tiny rerank scan would cost more than it saves.
-  std::vector<PartialBest> bests(nq);  // GUARDED_BY(per_worker_slot)
-  std::vector<char> full_scan(nq, 0);  // GUARDED_BY(per_worker_slot)
-  ParallelFor(
-      nq,
-      [&](std::size_t q) {
-        if (!usable[q]) return;
-        std::optional<obs::ScopedTraceContext> scope;
-        if (contexts != nullptr) scope.emplace(contexts[q]);
-        SNOR_TRACE_SPAN("serve.engine.ann_rerank");
-        const std::vector<int> cands =
-            index_->Candidates(*queries[q], shape, !shape);
-        if (cands.empty()) {
-          // No usable modality embedding: degrade to a full exact scan
-          // rather than answering from nothing.
-          full_scan[q] = 1;
-          const std::size_t n = bank_->size();
-          bests[q] = shape ? BankShapeArgminOverRange(*queries[q], *bank_, 0,
-                                                      n, spec_.shape)
-                           : BankColorArgbestOverRange(*queries[q], *bank_, 0,
-                                                       n, spec_.color);
-          return;
-        }
-        bests[q] = shape ? BankShapeArgminOverCandidates(*queries[q], *bank_,
-                                                         cands, spec_.shape)
-                         : BankColorArgbestOverCandidates(*queries[q], *bank_,
-                                                          cands, spec_.color);
-      },
-      options_.n_threads);
-
-  static obs::Counter& full_scan_counter =
-      obs::MetricsRegistry::Global().counter("serve.engine.ann_full_scans");
-  std::vector<ObjectClass> predictions(nq, FallbackLabel());
-  for (std::size_t q = 0; q < nq; ++q) {
-    if (!usable[q]) {
-      ++degradation_.fallback;
-      continue;
-    }
-    if (full_scan[q] != 0) {
+    degradation_.Record(outcomes[q].degradation);
+    if (full_scans[q] != 0) {
       ++ann_full_scans_;
       full_scan_counter.Increment();
     }
-    const PartialBest& p = bests[q];
-    if (p.found) predictions[q] = p.label;
+    predictions.push_back(outcomes[q].label);
   }
   return predictions;
 }
 
-std::vector<ObjectClass> BatchEngine::ClassifyHybridAnn(
-    const std::vector<const ImageFeatures*>& queries,
-    const obs::TraceContext* contexts) {
-  const std::size_t nq = queries.size();
-  const std::size_t n = bank_->size();
+BatchEngine::Modes BatchEngine::QueryModes(const ImageFeatures& query) const {
+  switch (spec_.kind) {
+    case ApproachSpec::Kind::kShape:
+      return {ShapeModalityUsable(query), false};
+    case ApproachSpec::Kind::kColor:
+      return {false, query.valid};
+    case ApproachSpec::Kind::kHybrid:
+      return {ShapeModalityUsable(query), ColorModalityUsable(query)};
+    case ApproachSpec::Kind::kBaseline:
+      break;
+  }
+  return {};
+}
 
-  std::vector<char> use_shape(nq);
-  std::vector<char> use_color(nq);
-  for (std::size_t q = 0; q < nq; ++q) {
-    use_shape[q] = ShapeModalityUsable(*queries[q]);
-    use_color[q] = ColorModalityUsable(*queries[q]);
+std::size_t BatchEngine::TasksPerQuery() const {
+  // ANN retrieval is sub-linear, so sharding the small rerank scan would
+  // cost more than it saves.
+  return index_.has_value() ? 1 : shards_.size();
+}
+
+BatchEngine::ViewSet BatchEngine::TaskViews(const ImageFeatures& query,
+                                            std::size_t shard, Modes modes,
+                                            char* full_scan) const {
+  if (!index_.has_value()) {
+    return {shards_[shard].begin, shards_[shard].end, {}};
+  }
+  ViewSet views{0, bank_->size(),
+                index_->Candidates(query, modes.shape, modes.color)};
+  // No usable modality embedding: degrade to a full exact scan rather
+  // than answering from nothing.
+  *full_scan = views.candidates.empty() ? 1 : 0;
+  return views;
+}
+
+namespace {
+
+/// One scan task's trace span, recorded on the query's request chain when
+/// the batch carries trace contexts.
+class TaskSpan {
+ public:
+  TaskSpan(const obs::TraceContext* contexts, std::size_t q, bool ann) {
+    if (contexts != nullptr) scope_.emplace(contexts[q]);
+    span_.emplace(ann ? "serve.engine.ann_rerank" : "serve.engine.shard_scan");
   }
 
-  std::vector<ObjectClass> labels(nq, FallbackLabel());  // GUARDED_BY(per_worker_slot)
-  // Per-query degradation verdict resolved inside the task, applied to
-  // the shared counters sequentially after the barrier.
-  enum : char { kNone, kFallback, kShapeOnly, kColorOnly };
-  std::vector<char> verdicts(nq, kNone);  // GUARDED_BY(per_worker_slot)
-  std::vector<char> full_scan(nq, 0);     // GUARDED_BY(per_worker_slot)
+ private:
+  std::optional<obs::ScopedTraceContext> scope_;
+  std::optional<obs::ScopedSpan> span_;
+};
+
+}  // namespace
+
+std::vector<MatchOutcome> BatchEngine::ClassifyArgmin(
+    const std::vector<const ImageFeatures*>& queries,
+    const obs::TraceContext* contexts, const std::vector<Modes>& modes,
+    std::vector<char>* full_scans) const {
+  const std::size_t nq = queries.size();
+  const std::size_t per_query = TasksPerQuery();
+  const bool shape = spec_.kind == ApproachSpec::Kind::kShape;
+
+  // One partial optimum per task; every worker writes only its own cell.
+  std::vector<PartialBest> partials(nq * per_query);  // GUARDED_BY(per_worker_slot)
   ParallelFor(
-      nq,
-      [&](std::size_t q) {
-        if (!use_shape[q] && !use_color[q]) {
-          verdicts[q] = kFallback;
-          return;
-        }
-        std::optional<obs::ScopedTraceContext> scope;
-        if (contexts != nullptr) scope.emplace(contexts[q]);
-        SNOR_TRACE_SPAN("serve.engine.ann_rerank");
-        const std::vector<int> cands = index_->Candidates(
-            *queries[q], use_shape[q] != 0, use_color[q] != 0);
-        std::vector<double> shape_row(n, kUnusableScore);
-        std::vector<double> color_row(n, kUnusableScore);
-        std::size_t shape_usable = 0;
-        std::size_t color_usable = 0;
-        if (cands.empty()) {
-          full_scan[q] = 1;
-          BankHybridScoresOverRange(*queries[q], *bank_, 0, n, spec_.shape,
-                                    spec_.color, use_shape[q] != 0,
-                                    use_color[q] != 0, &shape_row, &color_row,
-                                    &shape_usable, &color_usable);
+      nq * per_query,
+      [&](std::size_t task) {
+        const std::size_t q = task / per_query;
+        if (!modes[q].shape && !modes[q].color) return;
+        const TaskSpan span(contexts, q, index_.has_value());
+        const ImageFeatures& query = *queries[q];
+        const ViewSet views = TaskViews(query, task % per_query, modes[q],
+                                        &(*full_scans)[q]);
+        if (!views.candidates.empty()) {
+          partials[task] =
+              shape ? BankShapeArgminOverCandidates(query, *bank_,
+                                                    views.candidates,
+                                                    spec_.shape)
+                    : BankColorArgbestOverCandidates(query, *bank_,
+                                                     views.candidates,
+                                                     spec_.color);
         } else {
-          BankHybridScoresOverCandidates(
-              *queries[q], *bank_, cands, spec_.shape, spec_.color,
-              use_shape[q] != 0, use_color[q] != 0, &shape_row, &color_row,
-              &shape_usable, &color_usable);
+          partials[task] =
+              shape ? BankShapeArgminOverRange(query, *bank_, views.begin,
+                                               views.end, spec_.shape)
+                    : BankColorArgbestOverRange(query, *bank_, views.begin,
+                                                views.end, spec_.color);
         }
-        const bool shape_live = use_shape[q] != 0 && shape_usable > 0;
-        const bool color_live = use_color[q] != 0 && color_usable > 0;
-        if (!shape_live && !color_live) {
-          verdicts[q] = kFallback;
-          return;
-        }
-        if (shape_live != color_live) {
-          verdicts[q] = shape_live ? kShapeOnly : kColorOnly;
-        }
-        const std::vector<double> theta =
-            AssembleHybridTheta(shape_row, color_row, spec_.alpha, spec_.beta,
-                                shape_live, color_live);
-        labels[q] =
-            BankHybridArgminLabel(theta, *bank_, spec_.strategy,
-                                  FallbackLabel());
       },
       options_.n_threads);
 
-  static obs::Counter& full_scan_counter =
-      obs::MetricsRegistry::Global().counter("serve.engine.ann_full_scans");
+  // Sequential merge in ascending task (shard) order: the strict
+  // comparison keeps the lowest-index optimum, exactly like one scan.
+  const bool maximize = !shape && IsSimilarityMetric(spec_.color);
+  std::vector<MatchOutcome> outcomes;
+  outcomes.reserve(nq);
   for (std::size_t q = 0; q < nq; ++q) {
-    if (full_scan[q] != 0) {
-      ++ann_full_scans_;
-      full_scan_counter.Increment();
+    PartialBest best;
+    for (std::size_t t = q * per_query; t < (q + 1) * per_query; ++t) {
+      const PartialBest& p = partials[t];
+      if (p.found && (!best.found || (maximize ? p.score > best.score
+                                               : p.score < best.score))) {
+        best = p;
+      }
     }
-    switch (verdicts[q]) {
-      case kFallback: ++degradation_.fallback; break;
-      case kShapeOnly: ++degradation_.shape_only; break;
-      case kColorOnly: ++degradation_.color_only; break;
-      default: break;
-    }
+    outcomes.push_back(ArgminOutcome(best, FallbackLabel()));
   }
-  return labels;
+  return outcomes;
+}
+
+std::vector<MatchOutcome> BatchEngine::ClassifyHybrid(
+    const std::vector<const ImageFeatures*>& queries,
+    const obs::TraceContext* contexts, const std::vector<Modes>& modes,
+    std::vector<char>* full_scans) const {
+  const std::size_t nq = queries.size();
+  const std::size_t per_query = TasksPerQuery();
+  const std::size_t n = bank_->size();
+  const auto score = [&](const ImageFeatures& query, const ViewSet& views,
+                         HybridScores* scores, std::size_t* shape_usable,
+                         std::size_t* color_usable) {
+    if (!views.candidates.empty()) {
+      BankHybridScoresOverCandidates(
+          query, *bank_, views.candidates, spec_.shape, spec_.color,
+          scores->use_shape, scores->use_color, &scores->shape,
+          &scores->color, shape_usable, color_usable);
+    } else {
+      BankHybridScoresOverRange(query, *bank_, views.begin, views.end,
+                                spec_.shape, spec_.color, scores->use_shape,
+                                scores->use_color, &scores->shape,
+                                &scores->color, shape_usable, color_usable);
+    }
+  };
+  const auto outcome = [&](const HybridScores& scores) {
+    return HybridOutcome(scores, spec_.alpha, spec_.beta, spec_.strategy,
+                         *bank_, FallbackLabel());
+  };
+
+  // With one task per query (ANN mode, or a single shard), the task
+  // scores into rows of its own and finishes the query on its worker, so
+  // a batch holds score rows only for its running tasks. Several shard
+  // tasks per query fill disjoint ranges of the query's shared rows and
+  // keep usable counts per task; the query finishes after the barrier.
+  const bool shared_rows = per_query > 1;
+  std::vector<HybridScores> rows;  // GUARDED_BY(per_worker_slot)
+  std::vector<std::pair<std::size_t, std::size_t>> counts;  // GUARDED_BY(per_worker_slot)
+  if (shared_rows) {
+    rows.reserve(nq);
+    for (std::size_t q = 0; q < nq; ++q) {
+      const bool scanned = modes[q].shape || modes[q].color;
+      rows.emplace_back(scanned ? n : 0, modes[q].shape, modes[q].color);
+    }
+    counts.assign(nq * per_query, {0, 0});
+  }
+  // A query no task scans stays a fallback.
+  std::vector<MatchOutcome> outcomes(  // GUARDED_BY(per_worker_slot)
+      nq, {FallbackLabel(), Degradation::kFallback});
+  ParallelFor(
+      nq * per_query,
+      [&](std::size_t task) {
+        const std::size_t q = task / per_query;
+        if (!modes[q].shape && !modes[q].color) return;
+        const TaskSpan span(contexts, q, index_.has_value());
+        const ViewSet views = TaskViews(*queries[q], task % per_query,
+                                        modes[q], &(*full_scans)[q]);
+        if (shared_rows) {
+          score(*queries[q], views, &rows[q], &counts[task].first,
+                &counts[task].second);
+          return;
+        }
+        HybridScores own(n, modes[q].shape, modes[q].color);
+        score(*queries[q], views, &own, &own.shape_usable,
+              &own.color_usable);
+        outcomes[q] = outcome(own);
+      },
+      options_.n_threads);
+  if (!shared_rows) return outcomes;
+  for (std::size_t q = 0; q < nq; ++q) {
+    for (std::size_t t = q * per_query; t < (q + 1) * per_query; ++t) {
+      rows[q].shape_usable += counts[t].first;
+      rows[q].color_usable += counts[t].second;
+    }
+    outcomes[q] = outcome(rows[q]);
+  }
+  return outcomes;
 }
 
 Result<EvalReport> RunApproachBatched(const ApproachSpec& spec,
@@ -445,44 +351,20 @@ Result<EvalReport> RunApproachBatched(const ApproachSpec& spec,
   static obs::Counter& skipped_counter =
       obs::MetricsRegistry::Global().counter("serve.engine.skipped");
 
-  // Identical skip/ledger semantics to the cold RunApproach: ingest
-  // failures are skipped and recorded, preprocess failures are
-  // fallback-classified and recorded.
-  std::vector<ObjectClass> truth;
-  std::vector<const ImageFeatures*> eligible;
-  std::vector<ItemError> errors;
-  truth.reserve(inputs.size());
-  eligible.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const ImageFeatures& f = inputs[i];
-    if (!f.valid && !f.status.ok() &&
-        f.status.code() != StatusCode::kNotFound) {
-      errors.push_back({static_cast<int>(i), "ingest", f.status});
-      skipped_counter.Increment();
-      continue;
-    }
-    if (!f.valid) {
-      errors.push_back(
-          {static_cast<int>(i), "preprocess",
-           f.status.ok() ? Status::NotFound("no foreground component")
-                         : f.status});
-    }
-    truth.push_back(f.label);
-    eligible.push_back(&f);
-  }
-
   stage_clock.Reset();
+  RunLedger ledger = BuildRunLedger(inputs, skipped_counter);
   std::vector<ObjectClass> predictions;
-  predictions.reserve(eligible.size());
+  predictions.reserve(ledger.eligible.size());
   {
     SNOR_TRACE_SPAN("serve.engine.match");
     const std::size_t batch =
         static_cast<std::size_t>(std::max(1, options.engine.batch_size));
     std::vector<const ImageFeatures*> chunk;
-    for (std::size_t begin = 0; begin < eligible.size(); begin += batch) {
-      const std::size_t end = std::min(eligible.size(), begin + batch);
-      chunk.assign(eligible.begin() + static_cast<long>(begin),
-                   eligible.begin() + static_cast<long>(end));
+    for (std::size_t begin = 0; begin < ledger.eligible.size();
+         begin += batch) {
+      const std::size_t end = std::min(ledger.eligible.size(), begin + batch);
+      chunk.assign(ledger.eligible.begin() + static_cast<long>(begin),
+                   ledger.eligible.begin() + static_cast<long>(end));
       const std::vector<ObjectClass> labels = engine->ClassifyBatch(chunk);
       predictions.insert(predictions.end(), labels.begin(), labels.end());
     }
@@ -490,16 +372,8 @@ Result<EvalReport> RunApproachBatched(const ApproachSpec& spec,
   timing.match_s = stage_clock.ElapsedSeconds();
   classified_counter.Increment(predictions.size());
 
-  stage_clock.Reset();
-  EvalReport report = Evaluate(truth, predictions);
-  timing.score_s = stage_clock.ElapsedSeconds();
-
-  report.attempted = static_cast<int>(inputs.size());
-  report.errors = std::move(errors);
-  report.degraded_shape_only = engine->degradation().shape_only;
-  report.degraded_color_only = engine->degradation().color_only;
-  report.timing = timing;
-  return report;
+  return FinishRunReport(std::move(ledger), predictions,
+                         engine->degradation(), timing);
 }
 
 }  // namespace snor::serve

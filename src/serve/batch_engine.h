@@ -71,10 +71,10 @@ struct BatchEngineOptions {
 /// crosses a dispatch or generation boundary.
 class SNOR_OWNS_VIEWS BatchEngine {
  public:
-  /// Validating factory, mirroring `MakeClassifier`: fails with
-  /// `InvalidArgument` on an empty gallery and `Unavailable` when no
-  /// gallery view is valid (non-baseline approaches). Packs `gallery`
-  /// into a bank of its own; the engine keeps no reference to `gallery`.
+  /// Validating factory: fails like `MakeClassifier` (the shared
+  /// `ValidateGallery`) on an empty or all-invalid gallery. Packs
+  /// `gallery` into a bank of its own; the engine keeps no reference to
+  /// `gallery`.
   [[nodiscard]] static Result<std::unique_ptr<BatchEngine>> Create(
       const ApproachSpec& spec, const std::vector<ImageFeatures>& gallery,
       const BatchEngineOptions& options = {},
@@ -121,22 +121,45 @@ class SNOR_OWNS_VIEWS BatchEngine {
   BatchEngine(const ApproachSpec& spec, std::shared_ptr<const FeatureBank> bank,
               const BatchEngineOptions& options, std::uint64_t baseline_seed);
 
-  ObjectClass FallbackLabel() const;
+  /// The gallery views one task scores: the task's shard range in exact
+  /// mode; in ANN mode the index's candidates for the query, or the whole
+  /// bank when retrieval proposed none. Non-empty `candidates` are
+  /// scanned instead of [begin, end).
+  struct ViewSet {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::vector<int> candidates;
+  };
+  /// Modalities a query is scored on; neither means it is not scanned.
+  struct Modes {
+    bool shape = false;
+    bool color = false;
+  };
 
-  /// `contexts` is nullptr or an array index-aligned with `queries`.
-  std::vector<ObjectClass> ClassifyPartialArgmin(
+  ObjectClass FallbackLabel() const;
+  /// The usability check of every approach kind, on one query.
+  Modes QueryModes(const ImageFeatures& query) const;
+  /// Scan tasks per query: one per shard in exact mode, one in ANN mode.
+  std::size_t TasksPerQuery() const;
+  /// Views of the query's `shard`-th task. In ANN mode, sets `*full_scan`
+  /// when retrieval proposed no candidate.
+  ViewSet TaskViews(const ImageFeatures& query, std::size_t shard,
+                    Modes modes, char* full_scan) const;
+
+  /// The two classify paths: one outcome per query, index-aligned with
+  /// `queries`. `contexts` is nullptr or index-aligned with `queries`;
+  /// `full_scans` (one slot per query) records ANN full-scan fallbacks.
+  /// Shape-only / colour-only: per-task partial optima, merged in task
+  /// order.
+  std::vector<MatchOutcome> ClassifyArgmin(
       const std::vector<const ImageFeatures*>& queries,
-      const obs::TraceContext* contexts);
-  std::vector<ObjectClass> ClassifyHybrid(
+      const obs::TraceContext* contexts, const std::vector<Modes>& modes,
+      std::vector<char>* full_scans) const;
+  /// Hybrid: per-view modality scores, then HybridOutcome.
+  std::vector<MatchOutcome> ClassifyHybrid(
       const std::vector<const ImageFeatures*>& queries,
-      const obs::TraceContext* contexts);
-  /// ANN mode: candidate retrieval + exact rerank, one task per query.
-  std::vector<ObjectClass> ClassifyPartialArgminAnn(
-      const std::vector<const ImageFeatures*>& queries,
-      const obs::TraceContext* contexts);
-  std::vector<ObjectClass> ClassifyHybridAnn(
-      const std::vector<const ImageFeatures*>& queries,
-      const obs::TraceContext* contexts);
+      const obs::TraceContext* contexts, const std::vector<Modes>& modes,
+      std::vector<char>* full_scans) const;
 
   ApproachSpec spec_;
   /// The gallery; all non-baseline scoring reads bank rows. Immutable, so

@@ -117,15 +117,18 @@ Result<std::unique_ptr<RecognitionService>> RecognitionService::Create(
                                   options.baseline_seed));
   // NOLINTNEXTLINE(raw-new-delete): private ctor, immediately owned.
   return std::unique_ptr<RecognitionService>(new RecognitionService(
-      spec, std::move(primary), std::move(degraded), options));
+      spec, std::move(primary), std::move(degraded), bank->hist_bins,
+      options));
 }
 
 RecognitionService::RecognitionService(const ApproachSpec& spec,
                                        std::unique_ptr<BatchEngine> primary,
                                        std::unique_ptr<BatchEngine> degraded,
+                                       std::size_t hist_bins,
                                        const ServiceOptions& options)
     : spec_(spec),
       options_(options),
+      hist_bins_(hist_bins),
       primary_(std::move(primary)),
       degraded_(std::move(degraded)),
       queue_(options.queue),
@@ -183,6 +186,15 @@ std::future<Result<ServiceReply>> RecognitionService::Submit(
     }
   }
   std::future<Result<ServiceReply>> future = request.reply.get_future();
+  if (query->histogram.num_bins() != hist_bins_) {
+    // No engine can score this query (the degraded colour engine reads
+    // the histogram even when the primary does not): answer it here.
+    Answer(request,
+           Result<ServiceReply>(Status::InvalidArgument(StrFormat(
+               "query histogram has %zu bins, the gallery's have %zu",
+               query->histogram.num_bins(), hist_bins_))));
+    return future;
+  }
   const Status admitted = queue_.Enqueue(request);
   if (!admitted.ok()) {
     // Rejected requests are answered right here, exactly once: the

@@ -122,7 +122,8 @@ struct ServiceStats {
   /// Answered `DeadlineExceeded` (expired in queue, during ingest retry,
   /// or gone stale by classification time).
   std::uint64_t timed_out = 0;
-  /// Answered with a non-deadline error (ingest retry exhausted, internal).
+  /// Answered with a non-deadline error (ingest retry exhausted,
+  /// internal, or a histogram geometry the gallery does not share).
   std::uint64_t failed = 0;
   /// Rejected because the service was shutting down.
   std::uint64_t rejected = 0;
@@ -161,7 +162,8 @@ class RecognitionService {
   /// must stay alive until the returned future is ready. The future is
   /// always valid and fulfilled exactly once: OK with a reply, or
   /// `Unavailable` (shed / shutting down / ingest fault exhausted) /
-  /// `DeadlineExceeded` / `Internal`.
+  /// `DeadlineExceeded` / `Internal`, or `InvalidArgument` at once when
+  /// the query's histogram geometry differs from the gallery's.
   [[nodiscard]] std::future<Result<ServiceReply>> Submit(
       const ImageFeatures* query);
 
@@ -198,7 +200,7 @@ class RecognitionService {
   RecognitionService(const ApproachSpec& spec,
                      std::unique_ptr<BatchEngine> primary,
                      std::unique_ptr<BatchEngine> degraded,
-                     const ServiceOptions& options);
+                     std::size_t hist_bins, const ServiceOptions& options);
 
   void DispatcherLoop();
   void DispatchBatch(std::vector<QueuedRequest> batch);
@@ -207,6 +209,8 @@ class RecognitionService {
 
   ApproachSpec spec_;
   ServiceOptions options_;
+  /// Histogram bins of every gallery view; a query must match.
+  std::size_t hist_bins_;
   std::unique_ptr<BatchEngine> primary_;  // GUARDED_BY(dispatcher)
   std::unique_ptr<BatchEngine> degraded_;  // GUARDED_BY(dispatcher)
   RequestQueue queue_;

@@ -33,7 +33,7 @@ void MakeSparse(ColorHistogram* h, Rng* rng) {
 }
 
 // Fuzz gallery covering the hostile cases the kernels must handle exactly
-// like the scalar loops: invalid views, NaN and zero Hu moments, flat,
+// like the dense reference: invalid views, NaN and zero Hu moments, flat,
 // empty and sparse histograms, histograms with -0.0, NaN, +inf and
 // negative bins, and ordinary random views. Queries come from the same
 // generator, so every case shows up on the query side too.
@@ -108,6 +108,73 @@ constexpr ShapeMatchMethod kShapeMethods[] = {
 constexpr HistCompareMethod kColorMethods[] = {
     HistCompareMethod::kCorrelation, HistCompareMethod::kChiSquare,
     HistCompareMethod::kIntersection, HistCompareMethod::kHellinger};
+
+// Dense reference for the bank kernels: one per-pair MatchShapes,
+// CompareHistograms or HybridColorDistance call per view of an unpacked
+// gallery, with the kernels' skip rules (invalid view, non-finite score)
+// and first-strict-optimum tie-break.
+PartialBest DenseShapeArgmin(const ImageFeatures& q,
+                             const std::vector<ImageFeatures>& gallery,
+                             std::size_t begin, std::size_t end,
+                             ShapeMatchMethod method) {
+  PartialBest best;
+  best.score = kUnusableScore;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (!gallery[i].valid) continue;
+    const double d = MatchShapes(q.hu, gallery[i].hu, method);
+    if (std::isfinite(d) && d < best.score) {
+      best = {d, gallery[i].label, true};
+    }
+  }
+  return best;
+}
+
+PartialBest DenseColorArgbest(const ImageFeatures& q,
+                              const std::vector<ImageFeatures>& gallery,
+                              std::size_t begin, std::size_t end,
+                              HistCompareMethod method) {
+  const bool maximize = IsSimilarityMetric(method);
+  PartialBest best;
+  best.score = maximize ? -kUnusableScore : kUnusableScore;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (!gallery[i].valid) continue;
+    const double c = CompareHistograms(q.histogram, gallery[i].histogram,
+                                       method);
+    if (std::isfinite(c) && (maximize ? c > best.score : c < best.score)) {
+      best = {c, gallery[i].label, true};
+    }
+  }
+  return best;
+}
+
+// Per-view scores of the hybrid kernels: kUnusableScore where a view is
+// invalid or its score unusable, plus the usable count per modality.
+void DenseHybridScores(const ImageFeatures& q,
+                       const std::vector<ImageFeatures>& gallery,
+                       ShapeMatchMethod shape_method,
+                       HistCompareMethod color_method, bool use_shape,
+                       bool use_color, std::vector<double>* shape_scores,
+                       std::vector<double>* color_scores,
+                       std::size_t* shape_usable, std::size_t* color_usable) {
+  for (std::size_t i = 0; i < gallery.size(); ++i) {
+    if (!gallery[i].valid) continue;
+    if (use_shape) {
+      const double s = MatchShapes(q.hu, gallery[i].hu, shape_method);
+      if (std::isfinite(s) && s < kUnusableScore) {
+        (*shape_scores)[i] = s;
+        ++*shape_usable;
+      }
+    }
+    if (use_color) {
+      const double c =
+          HybridColorDistance(q.histogram, gallery[i].histogram, color_method);
+      if (std::isfinite(c)) {
+        (*color_scores)[i] = c;
+        ++*color_usable;
+      }
+    }
+  }
+}
 
 void ExpectSamePartial(const PartialBest& warm, const PartialBest& cold) {
   EXPECT_EQ(warm.found, cold.found);
@@ -225,8 +292,8 @@ TEST(FeatureBankPackTest, NormalizeL1ThenPackPreservesBinsExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential fuzz: bank kernels vs the scalar cold loops. Exact equality
-// (scores compared bitwise via ==, labels and flags directly).
+// Differential fuzz: bank kernels vs the dense per-pair reference. Exact
+// equality (scores compared bitwise, labels and flags directly).
 // ---------------------------------------------------------------------------
 
 class BankKernelFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -243,7 +310,7 @@ TEST_P(BankKernelFuzzTest, ShapeArgminMatchesScalarLoop) {
             {n / 2, n}, {3, 3}}) {
         ExpectSamePartial(
             BankShapeArgminOverRange(q, bank, begin, end, method),
-            ShapeArgminOverRange(q, gallery, begin, end, method));
+            DenseShapeArgmin(q, gallery, begin, end, method));
       }
     }
   }
@@ -262,7 +329,7 @@ TEST_P(BankKernelFuzzTest, ColorArgbestMatchesScalarLoop) {
               {n / 2, n}}) {
           ExpectSamePartial(
               BankColorArgbestOverRange(q, bank, begin, end, method),
-              ColorArgbestOverRange(q, gallery, begin, end, method));
+              DenseColorArgbest(q, gallery, begin, end, method));
         }
       }
     }
@@ -285,9 +352,9 @@ TEST_P(BankKernelFuzzTest, HybridScoresMatchScalarLoop) {
               std::vector<double> warm_s(n, kUnusableScore);
               std::vector<double> warm_c(n, kUnusableScore);
               std::size_t cold_su = 0, cold_cu = 0, warm_su = 0, warm_cu = 0;
-              ComputeHybridScoresOverRange(
-                  q, gallery, 0, n, shape_method, color_method, use_shape,
-                  use_color, &cold_s, &cold_c, &cold_su, &cold_cu);
+              DenseHybridScores(q, gallery, shape_method, color_method,
+                                use_shape, use_color, &cold_s, &cold_c,
+                                &cold_su, &cold_cu);
               BankHybridScoresOverRange(q, bank, 0, n, shape_method,
                                         color_method, use_shape, use_color,
                                         &warm_s, &warm_c, &warm_su, &warm_cu);
@@ -318,12 +385,12 @@ TEST_P(BankKernelFuzzTest, CandidateSubsetMatchesRestrictedScan) {
     for (const auto method : kShapeMethods) {
       ExpectSamePartial(
           BankShapeArgminOverCandidates(q, bank, cands, method),
-          ShapeArgminOverRange(q, sub, 0, sub.size(), method));
+          DenseShapeArgmin(q, sub, 0, sub.size(), method));
     }
     for (const auto method : kColorMethods) {
       ExpectSamePartial(
           BankColorArgbestOverCandidates(q, bank, cands, method),
-          ColorArgbestOverRange(q, sub, 0, sub.size(), method));
+          DenseColorArgbest(q, sub, 0, sub.size(), method));
     }
   }
 }
@@ -473,9 +540,8 @@ TEST(GalleryViewIndexTest, FullBudgetContainsExactOptima) {
   const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
   for (const auto& q : queries) {
     const auto cands = index.Candidates(q, true, true);
-    const PartialBest shape = ShapeArgminOverRange(q, gallery, 0,
-                                                   gallery.size(),
-                                                   ShapeMatchMethod::kI3);
+    const PartialBest shape = DenseShapeArgmin(q, gallery, 0, gallery.size(),
+                                               ShapeMatchMethod::kI3);
     const PartialBest full_shape =
         BankShapeArgminOverCandidates(q, bank, cands, ShapeMatchMethod::kI3);
     EXPECT_EQ(full_shape.found, shape.found);
@@ -483,7 +549,7 @@ TEST(GalleryViewIndexTest, FullBudgetContainsExactOptima) {
       EXPECT_EQ(full_shape.score, shape.score);
       EXPECT_EQ(full_shape.label, shape.label);
     }
-    const PartialBest color = ColorArgbestOverRange(
+    const PartialBest color = DenseColorArgbest(
         q, gallery, 0, gallery.size(), HistCompareMethod::kHellinger);
     const PartialBest full_color = BankColorArgbestOverCandidates(
         q, bank, cands, HistCompareMethod::kHellinger);

@@ -303,12 +303,21 @@ TEST_F(FaultInjectionTest, PoisonedShapeModalityFallsBackToColor) {
                           HistCompareMethod::kHellinger, 0.3, 0.7,
                           HybridStrategy::kWeightedSum);
   ColorOnlyClassifier color(gallery, HistCompareMethod::kHellinger);
+  ShapeOnlyClassifier shape(gallery, ShapeMatchMethod::kI3);
 
   std::vector<ObjectClass> degraded_preds;
+  std::vector<ObjectClass> shape_preds;
   {
     // Every shape score NaN: the shape modality collapses per input.
     ScopedFault guard(FaultPoint::kNanScore, 1.0, 55);
     degraded_preds = hybrid.ClassifyAll(inputs);
+    shape_preds = shape.ClassifyAll(inputs);
+  }
+  // Shape-only matching has no surviving modality: every input gets the
+  // fallback label and is counted as a fallback.
+  EXPECT_EQ(shape.degradation().fallback, inputs.size());
+  for (const ObjectClass label : shape_preds) {
+    EXPECT_EQ(label, gallery.front().label);
   }
   const std::vector<ObjectClass> color_preds = color.ClassifyAll(inputs);
 
@@ -358,7 +367,7 @@ TEST_F(FaultInjectionTest, BothModalitiesPoisonedFallsBackDeterministic) {
                           HybridStrategy::kWeightedSum);
   ImageFeatures dead;  // Invalid, zero-mass histogram.
   const ObjectClass label = hybrid.Classify(dead);
-  EXPECT_EQ(label, hybrid.gallery().front().label);
+  EXPECT_EQ(label, ctx.Sns1Features().front().label);
   EXPECT_EQ(hybrid.degradation().fallback, 1u);
 }
 

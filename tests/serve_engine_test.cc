@@ -1,5 +1,6 @@
 #include "serve/batch_engine.h"
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -110,6 +111,15 @@ TEST(BatchEngineTest, ShardCountIsClampedToGallerySize) {
   EXPECT_EQ(engine.value()->num_shards(), 3u);
 }
 
+// ANN options whose candidate budget covers the whole gallery, so rerank
+// sees every usable view and must reproduce exact mode.
+BatchEngineOptions FullBudgetAnnOptions(std::size_t gallery_size) {
+  BatchEngineOptions options;
+  options.match_mode = MatchMode::kAnn;
+  options.ann.candidates = static_cast<int>(gallery_size);
+  return options;
+}
+
 TEST(BatchEngineTest, DegradedQueriesFallBackLikeColdPath) {
   auto& ctx = Context();
   ApproachSpec spec;
@@ -129,18 +139,64 @@ TEST(BatchEngineTest, DegradedQueriesFallBackLikeColdPath) {
   ASSERT_TRUE(cold.ok());
   const auto expected = cold.value()->ClassifyAll(inputs);
 
-  BatchEngineOptions options;
-  options.num_shards = 5;
-  options.n_threads = 3;
-  auto engine = BatchEngine::Create(spec, gallery, options,
-                                    ctx.config().seed);
-  ASSERT_TRUE(engine.ok());
-  const auto actual = engine.value()->ClassifyBatch(Pointers(inputs));
+  BatchEngineOptions exact;
+  exact.num_shards = 5;
+  exact.n_threads = 3;
+  for (const BatchEngineOptions& options :
+       {exact, FullBudgetAnnOptions(gallery.size())}) {
+    SCOPED_TRACE(MatchModeName(options.match_mode));
+    auto engine = BatchEngine::Create(spec, gallery, options,
+                                      ctx.config().seed);
+    ASSERT_TRUE(engine.ok());
+    const auto actual = engine.value()->ClassifyBatch(Pointers(inputs));
 
-  EXPECT_EQ(actual, expected);
-  EXPECT_EQ(engine.value()->degradation().fallback,
-            cold.value()->degradation().fallback);
-  EXPECT_GE(engine.value()->degradation().total(), 2u);
+    EXPECT_EQ(actual, expected);
+    const DegradationStats& warm = engine.value()->degradation();
+    EXPECT_EQ(warm.fallback, cold.value()->degradation().fallback);
+    EXPECT_EQ(warm.shape_only, cold.value()->degradation().shape_only);
+    EXPECT_EQ(warm.color_only, cold.value()->degradation().color_only);
+    EXPECT_GE(warm.total(), 2u);
+    // Every degraded query kept a usable modality or was answered before
+    // retrieval, so ANN never had to fall back to a full scan.
+    EXPECT_EQ(engine.value()->ann_full_scans(), 0u);
+  }
+}
+
+// A query whose colour embedding is non-finite gets no ANN candidates;
+// the engine then scans the whole bank, which must answer and count
+// exactly like exact mode.
+TEST(BatchEngineTest, AnnWithoutCandidatesFallsBackToFullScan) {
+  auto& ctx = Context();
+  const auto& gallery = ctx.Sns1Features();
+  std::vector<ImageFeatures> inputs(ctx.Sns2Features().begin(),
+                                    ctx.Sns2Features().begin() + 4);
+  inputs[2].valid = true;
+  inputs[2].histogram.bins()[0] = std::numeric_limits<double>::quiet_NaN();
+
+  for (const std::size_t approach : {std::size_t{4}, std::size_t{5},
+                                     std::size_t{6}, std::size_t{7}}) {
+    const ApproachSpec spec = Table2Approaches()[approach];
+    SCOPED_TRACE(spec.DisplayName());
+    auto exact = BatchEngine::Create(spec, gallery, {}, ctx.config().seed);
+    ASSERT_TRUE(exact.ok());
+    auto ann = BatchEngine::Create(spec, gallery,
+                                   FullBudgetAnnOptions(gallery.size()),
+                                   ctx.config().seed);
+    ASSERT_TRUE(ann.ok());
+    const FeatureBank bank = PackFeatureBank(gallery);
+    const GalleryViewIndex index = GalleryViewIndex::Build(bank);
+    ASSERT_TRUE(index.Candidates(inputs[2], false, true).empty());
+
+    EXPECT_EQ(ann.value()->ClassifyBatch(Pointers(inputs)),
+              exact.value()->ClassifyBatch(Pointers(inputs)));
+    EXPECT_EQ(ann.value()->ann_full_scans(), 1u);
+    EXPECT_EQ(exact.value()->ann_full_scans(), 0u);
+    const DegradationStats& a = ann.value()->degradation();
+    const DegradationStats& e = exact.value()->degradation();
+    EXPECT_EQ(a.fallback, e.fallback);
+    EXPECT_EQ(a.shape_only, e.shape_only);
+    EXPECT_EQ(a.color_only, e.color_only);
+  }
 }
 
 TEST(RunApproachBatchedTest, ReportMatchesColdRunApproach) {

@@ -3,7 +3,8 @@
 // enforcement (expired-in-queue and stale-after-classification), load
 // shedding under backlog, ingest-retry exhaustion, circuit-breaker trip
 // to the degraded colour-only engine and half-open recovery, drain-on-
-// shutdown, and post-shutdown rejection.
+// shutdown, post-shutdown rejection, and rejection of queries whose
+// histogram geometry does not match the gallery.
 
 #include "serve/service.h"
 
@@ -173,6 +174,12 @@ TEST(ServeServiceTest, IngestRetryExhaustionAnswersUnavailable) {
   EXPECT_TRUE(healthy.ok()) << healthy.status().ToString();
 }
 
+ApproachSpec ShapeSpec() {
+  ApproachSpec spec;
+  spec.kind = ApproachSpec::Kind::kShape;
+  return spec;
+}
+
 TEST(ServeServiceTest, BreakerTripsToDegradedAndRecoversViaHalfOpen) {
   auto& ctx = Context();
   const auto& gallery = ctx.Sns1Features();
@@ -181,9 +188,6 @@ TEST(ServeServiceTest, BreakerTripsToDegradedAndRecoversViaHalfOpen) {
   options.breaker.min_samples = 8;
   options.breaker.failure_ratio = 0.5;
   options.breaker.cooldown_ms = 200.0;
-  auto service = RecognitionService::Create(HybridSpec(), gallery, options);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  ASSERT_NE(service.value()->degraded_engine(), nullptr);
 
   // Cold colour-only classifier: the oracle for degraded-mode answers.
   ApproachSpec color_spec;
@@ -192,57 +196,94 @@ TEST(ServeServiceTest, BreakerTripsToDegradedAndRecoversViaHalfOpen) {
   ASSERT_TRUE(color.ok()) << color.status().ToString();
 
   const ImageFeatures& query = ctx.Sns2Features().front();
-  {
-    // Shape scores all NaN: every hybrid classification collapses to a
-    // single modality, which the breaker counts as a primary-path
-    // failure. After min_samples such batches it must trip open.
-    ScopedFault nan(FaultPoint::kNanScore, 1.0, 41);
-    for (int i = 0; i < 8; ++i) {
-      const Result<ServiceReply> reply = service.value()->Classify(query);
-      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  for (const ApproachSpec& spec : {HybridSpec(), ShapeSpec()}) {
+    SCOPED_TRACE(spec.DisplayName());
+    auto service = RecognitionService::Create(spec, gallery, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    ASSERT_NE(service.value()->degraded_engine(), nullptr);
+    {
+      // Shape scores all NaN: every hybrid classification collapses to a
+      // single modality and every shape-only argmin finds no usable view;
+      // the breaker counts both as primary-path failures. After
+      // min_samples such batches it must trip open.
+      ScopedFault nan(FaultPoint::kNanScore, 1.0, 41);
+      for (int i = 0; i < 8; ++i) {
+        const Result<ServiceReply> reply = service.value()->Classify(query);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      }
+      // The dispatcher replies before its breaker bookkeeping runs, so
+      // stats trail the 8th reply by a scheduling quantum; poll briefly.
+      ServiceStats tripped = service.value()->stats();
+      for (int spin = 0; spin < 400 && tripped.breaker_trips == 0; ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        tripped = service.value()->stats();
+      }
+      EXPECT_GE(tripped.breaker_trips, 1u);
+      EXPECT_EQ(tripped.breaker_state,
+                static_cast<int>(CircuitBreaker::State::kOpen));
+
+      // Open: answers come from the degraded colour-only engine, which is
+      // immune to shape poisoning and must match the cold colour oracle.
+      // On a slow machine the cool-down may already have elapsed, making
+      // one call a half-open probe on the (still faulty) primary path;
+      // that probe re-opens the breaker, so the next call is degraded.
+      bool saw_degraded = false;
+      for (int attempt = 0; attempt < 3 && !saw_degraded; ++attempt) {
+        const Result<ServiceReply> degraded = service.value()->Classify(query);
+        ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+        if (!degraded.value().degraded) continue;
+        saw_degraded = true;
+        EXPECT_EQ(degraded.value().label, color.value()->Classify(query));
+      }
+      EXPECT_TRUE(saw_degraded);
+      EXPECT_GE(service.value()->stats().degraded, 1u);
     }
-    // The dispatcher replies before its breaker bookkeeping runs, so
-    // stats trail the 8th reply by a scheduling quantum; poll briefly.
-    ServiceStats tripped = service.value()->stats();
-    for (int spin = 0; spin < 400 && tripped.breaker_trips == 0; ++spin) {
+
+    // Fault lifted + cool-down elapsed: the next batch is the half-open
+    // probe on the primary path; its success closes the breaker.
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    const Result<ServiceReply> probe = service.value()->Classify(query);
+    ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+    EXPECT_FALSE(probe.value().degraded);
+    const int closed = static_cast<int>(CircuitBreaker::State::kClosed);
+    int state = service.value()->stats().breaker_state;
+    for (int spin = 0; spin < 400 && state != closed; ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      tripped = service.value()->stats();
+      state = service.value()->stats().breaker_state;
     }
-    EXPECT_GE(tripped.breaker_trips, 1u);
-    EXPECT_EQ(tripped.breaker_state,
-              static_cast<int>(CircuitBreaker::State::kOpen));
-
-    // Open: answers come from the degraded colour-only engine, which is
-    // immune to shape poisoning and must match the cold colour oracle.
-    // On a slow machine the cool-down may already have elapsed, making
-    // one call a half-open probe on the (still faulty) primary path;
-    // that probe re-opens the breaker, so the next call is degraded.
-    bool saw_degraded = false;
-    for (int attempt = 0; attempt < 3 && !saw_degraded; ++attempt) {
-      const Result<ServiceReply> degraded = service.value()->Classify(query);
-      ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-      if (!degraded.value().degraded) continue;
-      saw_degraded = true;
-      EXPECT_EQ(degraded.value().label, color.value()->Classify(query));
-    }
-    EXPECT_TRUE(saw_degraded);
-    EXPECT_GE(service.value()->stats().degraded, 1u);
+    EXPECT_EQ(state, closed);
   }
+}
 
-  // Fault lifted + cool-down elapsed: the next batch is the half-open
-  // probe on the primary path; its success closes the breaker.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  const Result<ServiceReply> probe = service.value()->Classify(query);
-  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-  EXPECT_FALSE(probe.value().degraded);
-  int state = service.value()->stats().breaker_state;
-  for (int spin = 0;
-       spin < 400 && state != static_cast<int>(CircuitBreaker::State::kClosed);
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    state = service.value()->stats().breaker_state;
+// A query whose histogram geometry differs from the gallery's cannot be
+// scored by any engine (the degraded colour engine reads the histogram
+// even when a shape-only primary does not). It is answered once with
+// InvalidArgument, counted as failed, and the service keeps serving.
+TEST(ServeServiceTest, MismatchedHistogramGeometryIsInvalidArgument) {
+  auto& ctx = Context();
+  const auto& gallery = ctx.Sns1Features();
+  ASSERT_EQ(gallery.front().histogram.bins_per_channel(), 8);
+  ImageFeatures query = ctx.Sns2Features().front();
+  query.histogram = ColorHistogram(4);
+
+  for (const ApproachSpec& spec : Table2Approaches()) {
+    SCOPED_TRACE(spec.DisplayName());
+    auto service = RecognitionService::Create(spec, gallery);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    const Result<ServiceReply> reply = service.value()->Classify(query);
+    EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
+    const Result<ServiceReply> healthy =
+        service.value()->Classify(ctx.Sns2Features().front());
+    EXPECT_TRUE(healthy.ok()) << healthy.status().ToString();
+
+    service.value()->Shutdown();
+    const ServiceStats stats = service.value()->stats();
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.ok, 1u);
+    EXPECT_EQ(stats.failed, 1u);
+    EXPECT_EQ(stats.submitted, stats.ok + stats.shed + stats.timed_out +
+                                   stats.failed + stats.rejected);
   }
-  EXPECT_EQ(state, static_cast<int>(CircuitBreaker::State::kClosed));
 }
 
 TEST(ServeServiceTest, ShutdownDrainsEveryQueuedRequest) {
