@@ -469,14 +469,8 @@ GalleryViewIndex GalleryViewIndex::Build(const FeatureBank& bank,
   }
 
   if (!color_points.empty()) {
-    if (options.ann.max_leaf_checks > 0) {
-      index.color_tree_ =
-          AnnIndex::Build(std::move(color_points), std::move(color_ids),
-                          options.candidates, options.ann);
-    } else {
-      index.color_bank_ = PackFloatDescriptors(color_points);
-      index.color_ids_ = std::move(color_ids);
-    }
+    index.color_bank_ = PackFloatDescriptors(color_points);
+    index.color_ids_ = std::move(color_ids);
   }
   return index;
 }
@@ -524,13 +518,11 @@ std::vector<int> GalleryViewIndex::Candidates(const ImageFeatures& query,
     shape_cands = TopRIds(&scored, options_.candidates);
   }
   std::vector<int> color_cands;
-  if (use_color && (color_tree_.has_value() || color_bank_.count > 0)) {
+  if (use_color && color_bank_.count > 0) {
     const FloatDescriptor q_emb =
         ColorEmbedding(query.histogram.bins().data(),
                        query.histogram.bins_per_channel());
-    if (color_tree_.has_value()) {
-      color_cands = color_tree_->Query(q_emb, options_.candidates);
-    } else if (q_emb.size() == color_bank_.dim) {
+    if (q_emb.size() == color_bank_.dim) {
       // Squared L2 ranks identically to L2 and the lane-parallel kernel
       // runs at SIMD throughput; scores are discarded after top-R.
       std::vector<float> dists(color_bank_.count);

@@ -38,16 +38,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/classifiers.h"
 #include "core/feature_cache.h"
-#include "features/ann.h"
 #include "features/keypoint.h"
 #include "features/matcher.h"
 #include "geometry/moments.h"
-#include "util/thread_annotations.h"
 
 namespace snor {
 
@@ -57,12 +54,9 @@ namespace snor {
 /// never straddle the same cache line pair and the autovectorizer sees
 /// constant-stride streams. Pad lanes are zero and never read.
 ///
-/// OWNS_VIEWS: row accessors hand out borrowed pointers into the flat
-/// arrays. A row pointer dies when the bank is destroyed, reassigned,
-/// swapped, or repacked — take rows inside the scan that uses them
-/// (never across a snapshot swap) and re-derive after any reload. The
-/// snor_analyze borrow pass enforces this generation discipline.
-struct SNOR_OWNS_VIEWS FeatureBank {
+/// Row accessors return pointers into the flat arrays. A row pointer
+/// dies when the bank is destroyed, reassigned or repacked.
+struct FeatureBank {
   /// Hu rows are 7 moments + 1 zero pad lane.
   static constexpr std::size_t kHuStride = 8;
 
@@ -96,10 +90,10 @@ struct SNOR_OWNS_VIEWS FeatureBank {
   std::size_t size() const { return num_views; }
   bool empty() const { return num_views == 0; }
 
-  const double* HuRow(std::size_t i) const SNOR_LIFETIME_BOUND {
+  const double* HuRow(std::size_t i) const {
     return hu.data() + i * kHuStride;
   }
-  const double* HistRow(std::size_t i) const SNOR_LIFETIME_BOUND {
+  const double* HistRow(std::size_t i) const {
     return hist.data() + i * hist_stride;
   }
   bool IsValid(std::size_t i) const { return valid[i] != 0; }
@@ -173,16 +167,14 @@ void BankHybridScoresOverCandidates(
 
 /// \brief Flat bank of equal-length float descriptors (one row per
 /// descriptor, stride padded to 16 floats / 64 bytes).
-///
-/// OWNS_VIEWS: Row() borrows from `data` under the same generation
-/// discipline as FeatureBank.
-struct SNOR_OWNS_VIEWS FloatDescriptorBank {
+/// Row() pointers die with `data`, as FeatureBank rows do.
+struct FloatDescriptorBank {
   std::size_t count = 0;
   std::size_t dim = 0;
   std::size_t stride = 0;
   std::vector<float> data;
 
-  const float* Row(std::size_t i) const SNOR_LIFETIME_BOUND {
+  const float* Row(std::size_t i) const {
     return data.data() + i * stride;
   }
 };
@@ -212,16 +204,14 @@ void BankFloatSquaredL2(const FloatDescriptorBank& bank,
                         const FloatDescriptor& query, float* out);
 
 /// \brief Flat bank of 256-bit binary descriptors as aligned u64 words.
-///
-/// OWNS_VIEWS: Row() borrows from `words` under the same generation
-/// discipline as FeatureBank.
-struct SNOR_OWNS_VIEWS BinaryDescriptorBank {
+/// Row() pointers die with `words`, as FeatureBank rows do.
+struct BinaryDescriptorBank {
   static constexpr std::size_t kWordsPerRow = 4;  // 256 bits.
 
   std::size_t count = 0;
   std::vector<std::uint64_t> words;  ///< count * kWordsPerRow.
 
-  const std::uint64_t* Row(std::size_t i) const SNOR_LIFETIME_BOUND {
+  const std::uint64_t* Row(std::size_t i) const {
     return words.data() + i * kWordsPerRow;
   }
 };
@@ -241,8 +231,6 @@ struct GalleryIndexOptions {
   /// Shape metric used by the exact shape prefilter (the engine passes
   /// its approach's method so prefilter ranks equal rerank ranks).
   ShapeMatchMethod shape_method = ShapeMatchMethod::kI3;
-  /// Passed through to the color AnnIndex.
-  AnnOptions ann;
 };
 
 /// \brief Candidate retrieval over gallery views for the ANN match mode,
@@ -258,14 +246,11 @@ struct GalleryIndexOptions {
 ///    e_i = sqrt(bin_i). Hellinger distance is exactly (1/sqrt(2)) * L2
 ///    in sqrt space, so embedding ranks equal exact Hellinger ranks (up
 ///    to float rounding) while each embedding distance costs plain
-///    multiply-adds instead of the exact kernel's per-pair sqrt. By
-///    default the embeddings live in a flat SoA FloatDescriptorBank
-///    scanned by the vectorized batch kernel — measured faster than any
-///    k-d traversal at histogram dimensionality, where bounded-leaf-check
-///    trees also collapse to near-random candidates. Setting
-///    `GalleryIndexOptions::ann.max_leaf_checks > 0` opts into a k-d tree
-///    (AnnIndex) with that budget instead: sub-scan retrieval at bounded
-///    recall.
+///    multiply-adds instead of the exact kernel's per-pair sqrt. The
+///    embeddings live in a flat SoA FloatDescriptorBank scanned by the
+///    vectorized batch kernel — measured faster than any k-d traversal
+///    at histogram dimensionality, where bounded-leaf-check trees also
+///    collapse to near-random candidates.
 ///
 /// The index only *proposes* candidate view indices; callers rerank them
 /// with the exact bank kernels, so `--match-mode=ann` accuracy degrades
@@ -298,12 +283,9 @@ class GalleryViewIndex {
   const FeatureBank* bank_ = nullptr;
   /// Exact shape prefilter rows: valid bank views with finite Hu moments.
   std::vector<int> shape_ids_;
-  /// Sqrt-space color embeddings: flat SoA bank scanned by the batch
-  /// float kernel (default), or a k-d tree when an explicit leaf-check
-  /// budget opts into bounded-recall sub-scan retrieval.
+  /// Sqrt-space color embeddings, scanned by the batch float kernel.
   FloatDescriptorBank color_bank_;
   std::vector<int> color_ids_;
-  std::optional<AnnIndex> color_tree_;
 };
 
 }  // namespace snor

@@ -26,11 +26,10 @@ struct FeatureOptions {
 
 /// \brief Per-image cached features consumed by the classifiers.
 ///
-/// Borrow contract: every member is owned by value — the struct never
-/// borrows into a bank or dataset, so copies are always safe and no
-/// LIFETIME-BOUND annotation applies. Callers that pass `const
+/// Every member is owned by value — the struct never points into a bank
+/// or dataset, so copies are always safe. Callers that pass `const
 /// ImageFeatures*` query pointers (BatchEngine::ClassifyBatch) retain
-/// ownership; those borrows end with the call.
+/// ownership; those pointers are not kept past the call.
 struct ImageFeatures {
   ObjectClass label = ObjectClass::kChair;
   int model_id = 0;

@@ -11,7 +11,8 @@ namespace snor {
 
 /// Serializes a feature gallery (labels, model ids, Hu moments, colour
 /// histograms) to a binary file, so a deployed robot can load the
-/// reference gallery without re-rendering or re-processing images.
+/// reference gallery without re-rendering or re-processing images. Any
+/// old file at `path` is replaced atomically (WriteFileAtomically).
 [[nodiscard]] Status SaveFeatures(const std::vector<ImageFeatures>& features,
                                   const std::string& path);
 

@@ -26,7 +26,6 @@
 #include "core/feature_bank.h"
 #include "obs/trace.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace snor::serve {
 
@@ -56,20 +55,17 @@ struct BatchEngineOptions {
   int n_threads = 0;
   /// Exact full-bank scan vs. ANN candidates + exact rerank.
   MatchMode match_mode = MatchMode::kExact;
-  /// ANN index knobs (kAnn only): top-R per modality, leaf-check budget.
+  /// ANN index knobs (kAnn only): top-R per modality, shape metric.
   GalleryIndexOptions ann;
 };
 
 /// \brief Matches query batches against a sharded in-memory gallery.
 ///
-/// Holds the gallery only as an immutable, shareable SoA bank
-/// (OWNS_VIEWS): engines over the same gallery (a service's primary and
-/// degraded engines) share one pack. Shard workers borrow bank rows only
-/// inside their ClassifyBatch scan, so a future live gallery
-/// snapshot-swap can replace `bank_` between batches without ever racing
-/// a borrowed row. The snor_analyze borrow pass flags any row view that
-/// crosses a dispatch or generation boundary.
-class SNOR_OWNS_VIEWS BatchEngine {
+/// Holds the gallery only as an immutable, shareable SoA bank: engines
+/// over the same gallery (a service's primary and degraded engines)
+/// share one pack. Shard workers read bank rows only inside their
+/// ClassifyBatch scan.
+class BatchEngine {
  public:
   /// Validating factory: fails like `MakeClassifier` (the shared
   /// `ValidateGallery`) on an empty or all-invalid gallery. Packs

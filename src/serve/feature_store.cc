@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/atomic_file.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -51,7 +52,14 @@ constexpr char kMagic[8] = {'S', 'N', 'O', 'R', 'F', 'S', 'T', '1'};
 
 /// Records larger than this are rejected as corrupt before allocating.
 constexpr std::uint32_t kMaxRecordBytes = 256u * 1024u * 1024u;
-constexpr std::uint32_t kMaxRecords = 10'000'000u;
+
+/// Smallest record on disk: its size field, a payload holding a one-bin
+/// histogram and no descriptors, and its checksum. Bounds the record
+/// count a file of a given size can hold.
+constexpr std::uint64_t kMinRecordBytes =
+    sizeof(std::uint32_t) + 2 * sizeof(std::int32_t) + sizeof(std::uint8_t) +
+    sizeof(HuMoments) + sizeof(std::int32_t) + sizeof(double) +
+    3 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
 
 // --------------------------------------------------------------- hashing --
 
@@ -117,6 +125,7 @@ class Decoder {
     return true;
   }
 
+  std::size_t remaining() const { return buffer_.size() - pos_; }
   bool exhausted() const { return pos_ == buffer_.size(); }
 
  private:
@@ -170,6 +179,10 @@ Status DecodeView(const std::string& payload, StoredView* view) {
       bins_per_channel > 256) {
     return Status::IoError("bad histogram bin count");
   }
+  const auto side = static_cast<std::size_t>(bins_per_channel);
+  if (side * side * side * sizeof(double) > dec.remaining()) {
+    return Status::IoError("truncated histogram payload");
+  }
   f.histogram = ColorHistogram(bins_per_channel);
   auto& bins = f.histogram.bins();
   if (!dec.Bytes(bins.data(), bins.size() * sizeof(double))) {
@@ -181,8 +194,12 @@ Status DecodeView(const std::string& payload, StoredView* view) {
   if (!dec.Pod(&float_count) || !dec.Pod(&float_dim)) {
     return Status::IoError("truncated float-descriptor header");
   }
-  if (float_count > kMaxRecords || float_dim > 4096) {
+  if (float_dim > 4096 || (float_count > 0 && float_dim == 0)) {
     return Status::IoError("implausible float-descriptor shape");
+  }
+  if (std::uint64_t{float_count} * float_dim * sizeof(float) >
+      dec.remaining()) {
+    return Status::IoError("truncated float descriptors");
   }
   view->float_descriptors.assign(float_count, FloatDescriptor(float_dim));
   for (FloatDescriptor& d : view->float_descriptors) {
@@ -194,8 +211,9 @@ Status DecodeView(const std::string& payload, StoredView* view) {
   if (!dec.Pod(&binary_count)) {
     return Status::IoError("truncated binary-descriptor header");
   }
-  if (binary_count > kMaxRecords) {
-    return Status::IoError("implausible binary-descriptor count");
+  if (std::uint64_t{binary_count} * sizeof(BinaryDescriptor) >
+      dec.remaining()) {
+    return Status::IoError("truncated binary descriptors");
   }
   view->binary_descriptors.assign(binary_count, BinaryDescriptor{});
   for (BinaryDescriptor& d : view->binary_descriptors) {
@@ -234,28 +252,28 @@ Status SaveFeatureStore(const std::string& path,
       obs::MetricsRegistry::Global().counter("serve.store.bytes_written");
   static obs::Counter& records_written =
       obs::MetricsRegistry::Global().counter("serve.store.records_written");
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IoError("cannot open for writing: " + path);
-  out.write(kMagic, sizeof(kMagic));
-  std::uint64_t total_bytes = sizeof(kMagic);
-  auto write_pod = [&](const auto& value) {
-    out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-    total_bytes += sizeof(value);
-  };
-  write_pod(kFeatureStoreVersion);
-  write_pod(options_fingerprint);
-  write_pod(static_cast<std::uint32_t>(views.size()));
-  for (const StoredView& view : views) {
-    Encoder enc;
-    EncodeView(view, &enc);
-    const std::string& payload = enc.buffer();
-    write_pod(static_cast<std::uint32_t>(payload.size()));
-    out.write(payload.data(),
-              static_cast<std::streamsize>(payload.size()));
-    write_pod(Fnv1a(payload.data(), payload.size()));
-    total_bytes += payload.size();
-  }
-  if (!out) return Status::IoError("write failed: " + path);
+  std::uint64_t total_bytes = 0;
+  SNOR_RETURN_NOT_OK(WriteFileAtomically(path, [&](std::ostream& out) {
+    out.write(kMagic, sizeof(kMagic));
+    total_bytes = sizeof(kMagic);
+    auto write_pod = [&](const auto& value) {
+      out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+      total_bytes += sizeof(value);
+    };
+    write_pod(kFeatureStoreVersion);
+    write_pod(options_fingerprint);
+    write_pod(static_cast<std::uint32_t>(views.size()));
+    for (const StoredView& view : views) {
+      Encoder enc;
+      EncodeView(view, &enc);
+      const std::string& payload = enc.buffer();
+      write_pod(static_cast<std::uint32_t>(payload.size()));
+      out.write(payload.data(),
+                static_cast<std::streamsize>(payload.size()));
+      write_pod(Fnv1a(payload.data(), payload.size()));
+      total_bytes += payload.size();
+    }
+  }));
   bytes_written.Increment(total_bytes);
   records_written.Increment(views.size());
   return Status::OK();
@@ -304,12 +322,16 @@ Result<std::vector<StoredView>> LoadFeatureStore(
         static_cast<unsigned long long>(fingerprint),
         static_cast<unsigned long long>(expected_fingerprint), path.c_str()));
   }
-  if (count > kMaxRecords) {
-    return Status::IoError("implausible feature-store record count");
-  }
-
   std::uint64_t total_bytes = sizeof(kMagic) + sizeof(version) +
                               sizeof(fingerprint) + sizeof(count);
+  // Bound the count by what the file can hold before reserving for it.
+  if (total_bytes > file_size ||
+      count > (file_size - total_bytes) / kMinRecordBytes) {
+    return Status::IoError(StrFormat(
+        "feature store declares %u record(s), more than its %llu byte(s) "
+        "can hold: %s",
+        count, static_cast<unsigned long long>(file_size), path.c_str()));
+  }
   std::vector<StoredView> views;
   views.reserve(count);
   std::string payload;

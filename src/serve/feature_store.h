@@ -65,11 +65,9 @@ struct StoredView {
 /// copies values bit-for-bit — no renormalization, no re-extraction — so
 /// a warm run scores exactly what the cold run scored.
 ///
-/// Generation discipline: rows borrowed from these banks (see the
-/// OWNS_VIEWS contracts in core/feature_bank.h) die when the aggregate
-/// is reloaded or repacked — LoadOrComputeFeatures round-trips replace
-/// the whole generation, so borrowed rows must never be held across one.
-struct StoredViewBanks {  // SNOR_OWNS_VIEWS
+/// Row pointers into these banks die when the aggregate is destroyed,
+/// reassigned or repacked.
+struct StoredViewBanks {
   FeatureBank features;
   FloatDescriptorBank float_bank;
   BinaryDescriptorBank binary_bank;
@@ -88,8 +86,9 @@ struct StoredViewBanks {  // SNOR_OWNS_VIEWS
 /// of silently mixing feature spaces.
 [[nodiscard]] std::uint64_t OptionsFingerprint(const FeatureOptions& options);
 
-/// Serializes `views` to `path`. Fails with `IoError` when the file
-/// cannot be opened or written.
+/// Serializes `views` to `path`, replacing any old file atomically
+/// (WriteFileAtomically). Fails with `IoError` when the file cannot be
+/// written; the old file is then left as it was.
 [[nodiscard]] Status SaveFeatureStore(const std::string& path,
                                       std::uint64_t options_fingerprint,
                                       const std::vector<StoredView>& views);

@@ -35,9 +35,9 @@ std::string_view StatusCodeToString(StatusCode code);
 /// allocation.
 ///
 /// The class itself is `[[nodiscard]]`: any call site that ignores a
-/// returned `Status` is a compile-time warning (an error under the
-/// `check` preset) and a `snor_lint` violation. Intentional discards
-/// must be written as `(void)Fallible();` with a justifying comment.
+/// returned `Status` is a compile error (`-Werror=unused-result` in the
+/// root CMakeLists.txt). Intentional discards must be written as
+/// `(void)Fallible();` with a justifying comment.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

@@ -48,37 +48,6 @@
 ///      table here, and re-run `tools/run_checks.sh` (the
 ///      snor_analyze_tree ctest fails on any inversion or cycle).
 ///
-/// Borrowed-view lifetime annotations (read by the snor_analyze borrow
-/// pass — see tools/analyze/borrow_checks.h; DESIGN.md §16):
-///
-///   SNOR_LIFETIME_BOUND  on (or the line above) a function returning a
-///                       view — raw pointer, std::span, string_view or
-///                       iterator into owned storage. Declares the
-///                       contract "the return value borrows from this
-///                       object and dies with it / at the next
-///                       generation boundary". Without it, view-shaped
-///                       returns are reported as `view-return`
-///                       (span/string_view anywhere; pointer/iterator
-///                       on OWNS_VIEWS classes).
-///   SNOR_OWNS_VIEWS      two roles: on a class-head line it marks the
-///                       class as an owner that legitimately hands out
-///                       views of its storage (so its pointer/iterator
-///                       accessors are held to the LIFETIME_BOUND
-///                       contract); on a member declaration line it
-///                       sanctions that member as generation-managed
-///                       view storage, so stores into it are not
-///                       `view-escape` findings. Sanctioned members
-///                       carry the burden of generation discipline:
-///                       they must be re-derived, not retained, across
-///                       any swap/reset/Load* of the data they view.
-///
-/// Both also work in comment form (`// SNOR_LIFETIME_BOUND`) for
-/// declarations where a macro cannot appear (e.g. inside a doc block).
-/// The analyzer's kill set — what ends a view's validity — is:
-/// swap()/reset()/Load*() on the owner, owner reassignment, std::swap
-/// of the owner, any helper in the cross-TU kills-closure, and mutating
-/// container methods (push_back/resize/clear/…) for `view-invalidation`.
-///
 /// The macros below additionally light up clang's static thread-safety
 /// analysis (`run_checks.sh --thread-safety`) when the attribute is
 /// available; elsewhere they compile away. They are optional — the
@@ -99,21 +68,5 @@
 #define SNOR_GUARDED_BY(x)
 #define SNOR_ACQUIRED_AFTER(...)
 #endif
-
-// Borrowed-view vocabulary. SNOR_LIFETIME_BOUND maps to clang's
-// [[clang::lifetimebound]] where available so the compiler's own
-// dangling-reference diagnostics see the same contract snor_analyze
-// enforces; SNOR_OWNS_VIEWS is a pure marker (the analyzer reads the
-// token, codegen never changes).
-#if defined(__clang__) && defined(__has_cpp_attribute)
-#if __has_cpp_attribute(clang::lifetimebound)
-#define SNOR_LIFETIME_BOUND [[clang::lifetimebound]]
-#else
-#define SNOR_LIFETIME_BOUND
-#endif
-#else
-#define SNOR_LIFETIME_BOUND
-#endif
-#define SNOR_OWNS_VIEWS
 
 #endif  // SNOR_UTIL_THREAD_ANNOTATIONS_H_

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/bow_classifier.h"
+#include "core/evaluation.h"
 #include "core/preprocess.h"
-#include "core/report_io.h"
 #include "img/draw.h"
 
 namespace snor {
@@ -65,33 +65,6 @@ TEST(BowClassifierTest, CrossSetBeatsChance) {
   for (const auto& item : sns1.items) truth.push_back(item.label);
   const EvalReport report = Evaluate(truth, classifier.ClassifyAll(sns1));
   EXPECT_GT(report.cumulative_accuracy, 0.12);
-}
-
-TEST(ReportIoTest, ConfusionTableRendersAllClasses) {
-  std::vector<ObjectClass> truth = {ObjectClass::kChair, ObjectClass::kSofa};
-  std::vector<ObjectClass> pred = {ObjectClass::kChair, ObjectClass::kChair};
-  const EvalReport report = Evaluate(truth, pred);
-  const std::string text = ConfusionTable(report).ToString();
-  EXPECT_NE(text.find("Chair"), std::string::npos);
-  EXPECT_NE(text.find("Lamp"), std::string::npos);
-}
-
-TEST(ReportIoTest, CsvHasOneRowPerClass) {
-  std::vector<ObjectClass> truth = {ObjectClass::kChair};
-  std::vector<ObjectClass> pred = {ObjectClass::kChair};
-  const EvalReport report = Evaluate(truth, pred);
-  const CsvWriter csv = ReportToCsv(report);
-  EXPECT_EQ(csv.num_rows(), static_cast<std::size_t>(kNumClasses));
-  const std::string text = csv.ToString();
-  EXPECT_NE(text.find("precision_paper"), std::string::npos);
-  EXPECT_NE(text.find("Chair,1,1,1.000000,1.000000"), std::string::npos);
-}
-
-TEST(ReportIoTest, WritesCsvFile) {
-  const EvalReport report =
-      Evaluate({ObjectClass::kBox}, {ObjectClass::kBox});
-  const std::string path = testing::TempDir() + "/snor_report.csv";
-  ASSERT_TRUE(WriteReportCsv(report, path).ok());
 }
 
 TEST(OtsuPreprocessTest, MatchesFixedThresholdOnCleanInput) {

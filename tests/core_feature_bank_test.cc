@@ -561,27 +561,6 @@ TEST(GalleryViewIndexTest, FullBudgetContainsExactOptima) {
   }
 }
 
-TEST(GalleryViewIndexTest, KdTreeOptInReturnsValidCandidates) {
-  const auto gallery = FuzzGallery(80, 41);
-  const auto queries = FuzzGallery(5, 42);
-  const FeatureBank bank = PackFeatureBank(gallery);
-  GalleryIndexOptions opts;
-  opts.candidates = 10;
-  opts.ann.max_leaf_checks = 32;  // Opt into the bounded-recall k-d tree.
-  const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
-  for (const auto& q : queries) {
-    const auto cands = index.Candidates(q, true, true);
-    EXPECT_FALSE(cands.empty());
-    for (std::size_t i = 1; i < cands.size(); ++i) {
-      EXPECT_LT(cands[i - 1], cands[i]);
-    }
-    for (int c : cands) {
-      ASSERT_GE(c, 0);
-      ASSERT_LT(c, static_cast<int>(gallery.size()));
-    }
-  }
-}
-
 TEST(GalleryViewIndexTest, EmptyModalitiesGiveEmptyCandidates) {
   std::vector<ImageFeatures> gallery(4);
   for (auto& f : gallery) f.valid = false;  // Nothing indexable.

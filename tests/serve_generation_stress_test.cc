@@ -16,13 +16,10 @@
 namespace snor::serve {
 namespace {
 
-/// TSan-preset stress for the borrow discipline the snor_analyze borrow
-/// pass enforces statically: bank row views are taken INSIDE ParallelFor
-/// workers and never survive past the batch, while FeatureStore
-/// round-trips replace the bank generation between batches. Run under
-/// the `tsan` preset this proves the sanctioned pattern is race-free;
-/// the analyzer proves the unsanctioned patterns (rows cached across a
-/// swap) never compile into the tree in the first place.
+/// TSan-preset stress for bank row lifetimes: row pointers are taken
+/// INSIDE ParallelFor workers and never survive past the batch, while
+/// FeatureStore round-trips replace the bank between batches. Run under
+/// the `tsan` preset this shows the pattern is race-free.
 
 FeatureOptions SmallOptions() {
   FeatureOptions options;
@@ -70,8 +67,8 @@ TEST(GenerationStressTest, StoreRoundTripsBetweenBatchesStayBitIdentical) {
   const std::vector<double> expected = ScanBatch(bank, 4);
 
   // Alternate batches with store round-trips that REPLACE the bank
-  // generation (reassignment is a generation kill in the borrow model);
-  // every batch re-derives its rows, so results never drift.
+  // (reassignment ends every row pointer into it); every batch
+  // re-derives its rows, so results never drift.
   for (int round = 0; round < 4; ++round) {
     auto warm = LoadOrComputeFeatures(path, dataset, options);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();

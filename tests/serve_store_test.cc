@@ -1,15 +1,23 @@
 #include "serve/feature_store.h"
 
+#include <sys/resource.h>
+
+#include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "hostile_input.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -308,6 +316,214 @@ TEST(FeatureStoreTest, LoadOrComputeMissesThenHits) {
   auto recomputed = LoadOrComputeFeatures(path, dataset, other);
   ASSERT_TRUE(recomputed.ok());
   EXPECT_EQ(misses.value() - misses_before, 2u);
+}
+
+// ------------------------------------------------------ hostile counts --
+
+constexpr std::uint64_t kHostileFingerprint = 5;
+
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Record payload fields up to and including the histogram bin count.
+std::string PayloadHead(std::int32_t bins_per_channel) {
+  std::string p;
+  hostile::Put(&p, std::int32_t{0});  // Label.
+  hostile::Put(&p, std::int32_t{0});  // Model id.
+  hostile::Put(&p, std::uint8_t{1});  // Valid.
+  for (int i = 0; i < 7; ++i) hostile::Put(&p, 0.0);
+  hostile::Put(&p, bins_per_channel);
+  return p;
+}
+
+/// A one-bin histogram followed by the descriptor counts.
+std::string PayloadWithDescriptors(std::uint32_t float_count,
+                                   std::uint32_t float_dim,
+                                   std::uint32_t binary_count) {
+  std::string p = PayloadHead(1);
+  hostile::Put(&p, 0.0);
+  hostile::Put(&p, float_count);
+  hostile::Put(&p, float_dim);
+  hostile::Put(&p, binary_count);
+  return p;
+}
+
+/// A store file declaring `count` records, holding one record with
+/// `payload` (and a valid checksum) unless the payload is empty. Padding
+/// keeps every file large enough that the record count alone passes.
+std::string StoreFile(std::uint32_t count, std::string payload) {
+  std::string file("SNORFST1", 8);
+  hostile::Put(&file, kFeatureStoreVersion);
+  hostile::Put(&file, kHostileFingerprint);
+  hostile::Put(&file, count);
+  if (!payload.empty()) {
+    payload.append(64, '\0');
+    hostile::Put(&file, static_cast<std::uint32_t>(payload.size()));
+    file += payload;
+    hostile::Put(&file, Fnv1a(payload));
+  }
+  return file;
+}
+
+[[noreturn]] void LoadStoreAndExit(const std::string& path,
+                                   const std::string& expected) {
+  if (!hostile::CapAddressSpace()) std::_Exit(2);
+  const auto loaded = LoadFeatureStore(path, kHostileFingerprint);
+  const Status& status = loaded.status();
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::_Exit(status.code() == StatusCode::kIoError &&
+                     status.message().find(expected) != std::string::npos
+                 ? 0
+                 : 1);
+}
+
+TEST(FeatureStoreTest, HostileCountsAreRejectedBeforeAllocating) {
+  if (SNOR_HOSTILE_INPUT_UNSUPPORTED) {
+    GTEST_SKIP() << "address-space cap is unavailable under sanitizers";
+  }
+  const struct {
+    const char* name;
+    std::string bytes;
+    const char* expected;
+  } cases[] = {
+      {"10M records in a 24-byte file", StoreFile(10'000'000u, ""),
+       "record(s)"},
+      {"256 bins per channel, 64 payload bytes",
+       StoreFile(1, PayloadHead(256)), "histogram"},
+      {"10M float descriptors of 4096 floats",
+       StoreFile(1, PayloadWithDescriptors(10'000'000u, 4096, 0)),
+       "float descriptors"},
+      {"10M float descriptors of 0 floats",
+       StoreFile(1, PayloadWithDescriptors(10'000'000u, 0, 0)),
+       "float-descriptor shape"},
+      {"10M binary descriptors",
+       StoreFile(1, PayloadWithDescriptors(0, 0, 10'000'000u)),
+       "binary descriptors"},
+  };
+  const std::string path = testing::TempDir() + "/snor_store_hostile.fst";
+  for (const auto& c : cases) {
+    hostile::WriteFile(path, c.bytes);
+    EXPECT_EXIT(LoadStoreAndExit(path, c.expected),
+                ::testing::ExitedWithCode(0), "")
+        << c.name;
+  }
+}
+
+// ------------------------------------------------------ crash-safe save --
+
+bool SameViews(const std::vector<StoredView>& got,
+               const std::vector<StoredView>& want) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const ImageFeatures& g = got[i].features;
+    const ImageFeatures& w = want[i].features;
+    if (g.label != w.label || g.model_id != w.model_id || g.hu != w.hu ||
+        g.histogram.bins() != w.histogram.bins() ||
+        got[i].float_descriptors != want[i].float_descriptors ||
+        got[i].binary_descriptors != want[i].binary_descriptors) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::vector<StoredView> MakeViews(int n, std::uint64_t seed) {
+  std::vector<StoredView> views;
+  for (int i = 0; i < n; ++i) {
+    views.push_back(MakeView(i % kNumClasses, i, true, seed + i));
+  }
+  return views;
+}
+
+/// Number of directory entries whose name starts with `prefix`.
+int CountEntries(const std::string& dir, const std::string& prefix) {
+  int n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) ++n;
+  }
+  return n;
+}
+
+TEST(FeatureStoreTest, ConcurrentSavesToOnePathNeverTearTheFile) {
+  const std::string path = testing::TempDir() + "/snor_store_race.fst";
+  std::remove(path.c_str());
+  const std::vector<StoredView> galleries[2] = {MakeViews(2, 11),
+                                                MakeViews(6, 20)};
+  std::atomic<bool> reading{false};
+  std::atomic<int> writers_done{0};
+  std::atomic<int> failed_saves{0};
+  auto writer = [&](int w) {
+    while (!reading.load()) std::this_thread::yield();
+    for (int i = 0; i < 40; ++i) {
+      if (!SaveFeatureStore(path, 5, galleries[w]).ok()) ++failed_saves;
+    }
+    ++writers_done;
+  };
+  std::thread t0(writer, 0);
+  std::thread t1(writer, 1);
+  reading = true;
+  int loads = 0;
+  int bad_loads = 0;
+  // Load until both writers are done, and once more after that.
+  for (bool more = true; more;) {
+    more = writers_done.load() < 2;
+    auto loaded = LoadFeatureStore(path, 5);
+    // Before the first save lands there is no file to open.
+    if (loads == 0 && !loaded.ok() &&
+        loaded.status().message().find("cannot open") != std::string::npos) {
+      continue;
+    }
+    ++loads;
+    if (!loaded.ok() || !(SameViews(*loaded, galleries[0]) ||
+                          SameViews(*loaded, galleries[1]))) {
+      ++bad_loads;
+    }
+  }
+  t0.join();
+  t1.join();
+  EXPECT_EQ(failed_saves.load(), 0);
+  EXPECT_GT(loads, 0);
+  EXPECT_EQ(bad_loads, 0) << "of " << loads << " loads";
+  auto last = LoadFeatureStore(path, 5);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_TRUE(SameViews(*last, galleries[0]) ||
+              SameViews(*last, galleries[1]));
+  EXPECT_EQ(CountEntries(testing::TempDir(), "snor_store_race.fst."), 0)
+      << "a temporary file was left behind";
+}
+
+/// Saves a gallery too large for the file-size limit over `path`, then
+/// checks that the save failed and `path` still loads as `old_views`.
+[[noreturn]] void SaveOverLimitAndExit(const std::string& path,
+                                       const std::vector<StoredView>& old_views) {
+  std::signal(SIGXFSZ, SIG_IGN);  // Over-limit writes fail with EFBIG.
+  const rlimit rl{64 * 1024, 64 * 1024};
+  if (::setrlimit(RLIMIT_FSIZE, &rl) != 0) std::_Exit(2);
+  const Status saved = SaveFeatureStore(path, 5, MakeViews(30, 40));
+  auto loaded = LoadFeatureStore(path, 5);
+  const bool kept =
+      !saved.ok() && loaded.ok() && SameViews(*loaded, old_views);
+  std::fprintf(stderr, "save: %s, load: %s\n", saved.ToString().c_str(),
+               loaded.status().ToString().c_str());
+  std::_Exit(kept ? 0 : 1);
+}
+
+TEST(FeatureStoreTest, FailedSaveKeepsTheOldFile) {
+  const std::string dir = testing::TempDir() + "/snor_store_keep";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string path = dir + "/store.fst";
+  const std::vector<StoredView> old_views = MakeViews(1, 31);
+  ASSERT_TRUE(SaveFeatureStore(path, 5, old_views).ok());
+  EXPECT_EXIT(SaveOverLimitAndExit(path, old_views),
+              ::testing::ExitedWithCode(0), "");
+  EXPECT_EQ(CountEntries(dir, ""), 1) << "a temporary file was left behind";
 }
 
 }  // namespace

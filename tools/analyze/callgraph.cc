@@ -17,7 +17,6 @@ CallGraph::CallGraph(const std::vector<TuSummary>& tus) : tus_(tus) {
   ComputeMayBlock();
   ComputeFulfils();
   ComputeTransitiveAcquires();
-  ComputeBorrowFacts();
 }
 
 const std::vector<FunctionRef>* CallGraph::DefsByName(
@@ -216,52 +215,6 @@ void CallGraph::ComputeTransitiveAcquires() {
       }
     }
   }
-}
-
-void CallGraph::ComputeBorrowFacts() {
-  for (const TuSummary& tu : tus_) {
-    owner_classes_.insert(tu.owner_classes.begin(), tu.owner_classes.end());
-    view_members_.insert(tu.view_members.begin(), tu.view_members.end());
-  }
-  // Direct generation kills, then closed through the generic param-pass
-  // edges — same fixpoint shape as ComputeFulfils: if g kills its arg k
-  // and f passes param p to g's slot k, then f kills p.
-  for (const FunctionRef& ref : all_) {
-    const FunctionSummary& fn = Fn(ref);
-    for (int p : fn.kill_params) {
-      kills_.insert({fn.name, p});
-    }
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const FunctionRef& ref : all_) {
-      const FunctionSummary& fn = Fn(ref);
-      for (const FunctionSummary::ParamPass& pass : fn.passes) {
-        if (kills_.count({pass.callee, pass.arg_index}) == 0) continue;
-        if (kills_.insert({fn.name, pass.param}).second) changed = true;
-      }
-    }
-  }
-}
-
-bool CallGraph::ReturnsView(const std::string& name) const {
-  static const std::set<std::string> kBuiltins = {
-      "data", "c_str", "begin",  "end", "cbegin",
-      "cend", "rbegin", "rend",  "find"};
-  if (kBuiltins.count(name) > 0) return true;
-  const std::vector<FunctionRef>* defs = DefsByName(name);
-  if (defs == nullptr || defs->empty()) return false;
-  // Unanimity across same-named definitions, like CalleeMayBlock: one
-  // value-returning namesake vetoes view-ness for all call sites.
-  for (const FunctionRef& def : *defs) {
-    if (Fn(def).view_return == ViewReturn::kNone) return false;
-  }
-  return true;
-}
-
-bool CallGraph::KillsParam(const std::string& name, int arg_index) const {
-  return kills_.count({name, arg_index}) > 0;
 }
 
 const std::set<MutexId>& CallGraph::TransitiveAcquires(

@@ -97,33 +97,11 @@ class CallGraph {
   std::set<MutexId> CalleeAcquires(const std::string& callee,
                                    const FunctionRef& caller) const;
 
-  /// True iff calling `name` yields a borrowed view: a builtin view
-  /// method (data/c_str/begin/…), or every known same-named definition
-  /// has a view-shaped return type (unanimity, like CalleeMayBlock).
-  bool ReturnsView(const std::string& name) const;
-
-  /// True iff calling `name` kills the generation of argument
-  /// `arg_index` (swap/reset/Load*/reassignment), directly or through
-  /// the generic param-pass edges (closure like ComputeFulfils).
-  bool KillsParam(const std::string& name, int arg_index) const;
-
-  /// Program-wide OWNS_VIEWS class-head annotations.
-  bool IsOwnerClass(const std::string& cls) const {
-    return owner_classes_.count(cls) > 0;
-  }
-
-  /// Program-wide OWNS_VIEWS member sanctioning (the decl usually lives
-  /// in a different TU than the store).
-  bool IsSanctionedMember(const std::string& member) const {
-    return view_members_.count(member) > 0;
-  }
-
  private:
   void BuildMutexIndex();
   void ComputeMayBlock();
   void ComputeFulfils();
   void ComputeTransitiveAcquires();
-  void ComputeBorrowFacts();
 
   const std::vector<TuSummary>& tus_;
   std::vector<FunctionRef> all_;
@@ -135,9 +113,6 @@ class CallGraph {
   std::map<FunctionRef, FunctionRef> block_via_;
   std::set<std::pair<std::string, int>> fulfils_;
   std::map<FunctionRef, std::set<MutexId>> trans_acquires_;
-  std::set<std::pair<std::string, int>> kills_;
-  std::set<std::string> owner_classes_;
-  std::set<std::string> view_members_;
 };
 
 }  // namespace snor_analyze

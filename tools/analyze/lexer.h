@@ -26,8 +26,6 @@ namespace snor_analyze {
 // contains the literal annotation text (it scans tools/ too).
 extern const std::string kGuardedByMarker;   // "GUARDED" "_BY("
 extern const std::string kLockRankMarker;    // "LOCK" "_RANK("
-extern const std::string kLifetimeBoundMarker;  // "LIFETIME" "_BOUND"
-extern const std::string kOwnsViewsMarker;      // "OWNS" "_VIEWS"
 extern const std::string kExpectMarker;      // "EXPECT" "-ANALYZE:"
 extern const std::string kAnalyzeAsMarker;   // "ANALYZE" "-AS:"
 extern const std::string kNolintNextMarker;  // "NOLINT" "NEXTLINE"

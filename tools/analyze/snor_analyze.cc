@@ -44,21 +44,6 @@
 //   promise-exactly-once A promise-routing loop has a path that drops a
 //                        promise-carrying value or fulfils it twice.
 //
-// Borrow/escape dataflow for borrowed views (two-pass; see
-// borrow_checks.h; vocabulary in src/util/thread_annotations.h):
-//   view-return          A view-shaped return type (span/string_view
-//                        anywhere; pointer/iterator on an OWNS_VIEWS
-//                        class) without a LIFETIME_BOUND annotation.
-//   view-escape          A borrowed view stored into a class member
-//                        (unless OWNS_VIEWS-sanctioned), a static, or a
-//                        worker lambda handed to ParallelFor/dispatch.
-//   view-generation      A view used after its owner crossed a
-//                        generation boundary (swap/reset/Load*/
-//                        reassignment, directly or via the cross-TU
-//                        kills-closure) — the snapshot-swap bug class.
-//   view-invalidation    A view used after a mutating container method
-//                        (push_back/resize/clear/…) on its owner.
-//
 // Pass 1 builds one summary per TU (summary.h); summaries are cached on
 // disk (`--cache-dir`) keyed by content hash, format version and
 // `--cache-salt`, so a warm incremental run re-tokenizes only edited
@@ -93,7 +78,6 @@
 #include <string_view>
 #include <vector>
 
-#include "borrow_checks.h"
 #include "callgraph.h"
 #include "concurrency_checks.h"
 #include "lexer.h"
@@ -1052,15 +1036,6 @@ constexpr RuleInfo kRules[] = {
      "Condition-variable wait without predicate or re-check loop"},
     {"promise-exactly-once",
      "A loop path drops a promise-carrying value or fulfils it twice"},
-    {"view-return",
-     "Borrowed-view return type without a LIFETIME_BOUND annotation"},
-    {"view-escape",
-     "Borrowed view stored into a member, static or worker lambda"},
-    {"view-generation",
-     "Borrowed view used after its owner crossed a generation boundary "
-     "(swap/reset/Load*/reassignment)"},
-    {"view-invalidation",
-     "Borrowed view used after a mutating container method on its owner"},
 };
 
 int RuleIndexOf(const std::string& rule) {
@@ -1270,7 +1245,6 @@ bool AnalyzePaths(const std::vector<std::string>& paths,
   CheckIncludeCycles(tus, &result->findings);
   const CallGraph graph(tus);
   RunConcurrencyChecks(graph, &result->findings);
-  RunBorrowChecks(graph, &result->findings);
   std::sort(result->findings.begin(), result->findings.end());
   result->findings.erase(
       std::unique(result->findings.begin(), result->findings.end(),
@@ -1487,9 +1461,9 @@ int main(int argc, char** argv) {
           "                    [--fault-rate P] [--fault-seed N]\n"
           "                    [files...]\n"
           "       snor_analyze --self-test FIXTURE_DIR\n"
-          "Dependency-DAG, dataflow, whole-program concurrency and\n"
-          "borrowed-view lifetime analysis over src/, bench/, examples/,\n"
-          "tests/ and tools/ (see tools/analyze/layers.toml).\n"
+          "Dependency-DAG, dataflow and whole-program concurrency\n"
+          "analysis over src/, bench/, examples/, tests/ and tools/\n"
+          "(see tools/analyze/layers.toml).\n"
           "--cache-dir enables the incremental summary cache;\n"
           "--cache-max-bytes LRU-bounds it (0 = unbounded); --fault-rate\n"
           "arms io-read and truncated-file faults on cache reads\n"

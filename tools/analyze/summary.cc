@@ -50,15 +50,6 @@ class TokenView {
     return code_.size();
   }
 
-  std::size_t SkipBrackets(std::size_t i) const {
-    int depth = 0;
-    for (std::size_t j = i; j < code_.size(); ++j) {
-      if (code_[j].text == "[") ++depth;
-      if (code_[j].text == "]" && --depth == 0) return j + 1;
-    }
-    return code_.size();
-  }
-
   // Index of the matching '}' for the '{' at i (or end).
   std::size_t MatchBrace(std::size_t i) const {
     const std::size_t past = SkipBraces(i);
@@ -760,622 +751,6 @@ class LockWalker {
   std::vector<std::pair<std::size_t, std::size_t>> loop_ranges_;
 };
 
-// ------------------------------------------------------- borrow walker --
-
-// Generation boundaries: methods that replace an owner's backing
-// storage wholesale (the snapshot-swap bug class from ROADMAP item 1).
-bool IsGenerationKillMethod(const std::string& t) {
-  return t == "swap" || t == "reset" ||
-         (t.size() > 4 && t.compare(0, 4, "Load") == 0);
-}
-
-// Container mutators that may reallocate / shift elements, invalidating
-// previously-taken views.
-bool IsInvalidatingMethod(const std::string& t) {
-  static const std::set<std::string> kMethods = {
-      "push_back", "emplace_back", "pop_back", "resize",  "clear",
-      "insert",    "erase",        "assign",   "reserve", "shrink_to_fit",
-      "emplace"};
-  return kMethods.count(t) > 0;
-}
-
-// Methods that return a borrowed view by value on any standard
-// container — resolvable as views without a cross-TU lookup.
-bool IsBuiltinViewMethod(const std::string& t) {
-  static const std::set<std::string> kMethods = {
-      "data", "c_str", "begin",  "end", "cbegin",
-      "cend", "rbegin", "rend",  "find"};
-  return kMethods.count(t) > 0;
-}
-
-// Entry points that hand a lambda to other threads (or the request
-// queue): a view captured from the enclosing frame crosses a lifetime
-// the borrow rules cannot see.
-bool IsWorkerDispatcher(const std::string& t) {
-  return t == "ParallelFor" || t == "thread" || t == "async" ||
-         t == "Submit" || t == "Enqueue" || t == "Dispatch";
-}
-
-// Linear walk of one function body tracking live view bindings (raw
-// pointers, spans, string_views, iterators borrowed from an owner) and
-// recording BorrowCandidates: escapes to longer-lived storage,
-// generation kills on the owner, and container invalidation with a
-// later use. Pass 2 resolves candidate view-ness (ReturnsView),
-// helper-call kills (the kills-closure) and member sanctioning
-// (OWNS_VIEWS) cross-TU; the walker only needs local syntax.
-class BorrowWalker {
- public:
-  BorrowWalker(const TokenView& view, FunctionSummary* fn)
-      : view_(view), fn_(fn) {
-    for (std::size_t k = 0; k < fn->params.size(); ++k) {
-      if (!fn->params[k].empty()) param_index_[fn->params[k]] = k;
-    }
-  }
-
-  void Walk(std::size_t body_open, std::size_t body_close) {
-    body_close_ = body_close;
-    CollectWorkerBodies(body_open, body_close);
-    int depth = 0;
-    for (std::size_t i = body_open + 1; i < body_close; ++i) {
-      const Token& t = view_.At(i);
-      if (t.text == "{") {
-        ++depth;
-        continue;
-      }
-      if (t.text == "}") {
-        const int dying = depth;
-        for (auto it = views_.begin(); it != views_.end();) {
-          it = it->second.depth == dying ? views_.erase(it) : std::next(it);
-        }
-        --depth;
-        continue;
-      }
-      if (t.kind != Tok::kIdent) continue;
-      // Only chain bases: `x` in `recv.x`, `recv->x`, `ns::x` is not one
-      // (std::swap is, and is handled below).
-      if (view_.Is(i - 1, ".") || view_.Is(i - 1, "->")) continue;
-      if (view_.Is(i - 1, "::") &&
-          !(t.text == "swap" && view_.Is(i - 2, "std"))) {
-        continue;
-      }
-      // this->member_ = <view>;
-      if (t.text == "this" && view_.Is(i + 1, "->") &&
-          view_.IsIdentTok(i + 2) && view_.Is(i + 3, "=") &&
-          !view_.Is(i + 4, "=")) {
-        HandleMemberStore(view_.At(i + 2).text, i + 4, t.line);
-        continue;
-      }
-      // Declarations that bind views.
-      if (IsStatementStart(i)) {
-        const std::size_t consumed = TryBind(i, depth);
-        if (consumed > i) {
-          i = consumed - 1;
-          continue;
-        }
-      }
-      // member_ = <view>;  (trailing-underscore member convention)
-      if (t.text.size() > 1 && t.text.back() == '_' &&
-          view_.Is(i + 1, "=") && !view_.Is(i + 2, "=") &&
-          IsStoreContext(i)) {
-        HandleMemberStore(t.text, i + 2, t.line);
-        continue;
-      }
-      // Plain reassignment: rebinds a view / generation-kills an owner.
-      if (view_.Is(i + 1, "=") && !view_.Is(i + 2, "=")) {
-        HandleAssignment(i);
-        continue;
-      }
-      // std::swap(a, b) generation-kills both argument owners.
-      if (t.text == "swap" && view_.Is(i + 1, "(")) {
-        HandleSwapCall(i);
-        continue;
-      }
-      // owner.method(...) chains: kills and invalidations.
-      if (view_.Is(i + 1, ".") || view_.Is(i + 1, "->")) {
-        HandleChainUse(i);
-        continue;
-      }
-      // Helper call taking an owner: may kill it (resolved in pass 2
-      // against the kills-closure).
-      if (view_.Is(i + 1, "(") && !IsCallKeyword(t.text) &&
-          !IsGuardType(t.text) && t.text != "move" && t.text != "forward") {
-        HandleHelperCall(t.text, i);
-        continue;
-      }
-    }
-    ResolveCaptureEscapes();
-  }
-
- private:
-  struct ViewBind {
-    std::string owner;   // "" when the producing call's receiver is unknown.
-    std::string callee;  // Producing call; "" = definitely a view.
-    int bind_line = 0;
-    std::size_t bind_tok = 0;
-    int depth = 0;
-  };
-
-  struct BindEvent {
-    std::string var;
-    std::string owner;
-    std::string callee;
-    int bind_line = 0;
-    std::size_t bind_tok = 0;
-  };
-
-  struct Chain {
-    std::string callee;    // Last method called on the chain ("" none).
-    bool element = false;  // Chain ends in a subscript access.
-    bool direct = false;   // Callee is invoked directly on the base.
-    std::size_t end = 0;   // One past the chain tokens.
-  };
-
-  struct WorkerBody {
-    std::size_t open = 0;
-    std::size_t close = 0;
-    std::string dispatcher;
-  };
-
-  bool IsStatementStart(std::size_t i) const {
-    if (i == 0) return true;
-    const std::string& p = view_.At(i - 1).text;
-    return p == ";" || p == "{" || p == "}" || p == "(" || p == ":";
-  }
-
-  // Assignment statements (not declarator positions like `int* x_ = ..`).
-  bool IsStoreContext(std::size_t i) const {
-    if (i == 0) return true;
-    const std::string& p = view_.At(i - 1).text;
-    return p == ";" || p == "{" || p == "}" || p == ":" || p == ")";
-  }
-
-  // Walks a receiver chain from the base identifier:
-  // base(.member | ->member | .Method(...) | [idx])*.
-  Chain WalkChain(std::size_t base_at) const {
-    Chain c;
-    std::size_t j = base_at + 1;
-    int segs = 0;  // Segments before the current position.
-    while (j < view_.size()) {
-      if (view_.Is(j, "[")) {
-        c.element = true;
-        ++segs;
-        j = view_.SkipBrackets(j);
-        continue;
-      }
-      if ((view_.Is(j, ".") || view_.Is(j, "->")) &&
-          view_.IsIdentTok(j + 1)) {
-        if (view_.Is(j + 2, "(")) {
-          c.callee = view_.At(j + 1).text;
-          c.element = false;
-          c.direct = segs == 0;
-          ++segs;
-          j = view_.SkipParens(j + 2);
-          continue;
-        }
-        c.callee.clear();
-        c.element = false;
-        ++segs;
-        j += 2;
-        continue;
-      }
-      break;
-    }
-    c.end = j;
-    return c;
-  }
-
-  struct Init {
-    std::string owner;
-    std::string callee;
-    bool matched = false;
-  };
-
-  // Classifies an initializer as view-producing. `by_value` marks binds
-  // that copy (plain `auto x = ...`): element access and front/back then
-  // copy the value, not the address. `bare_ok` allows a bare identifier
-  // initializer to bind as a view — true only for typed views
-  // (string_view sv = str;) and the range-for loop variable; a plain
-  // `auto& x = container;` is an alias of the owner, not a view into it.
-  Init AnalyzeInit(std::size_t b, bool by_value, bool bare_ok) {
-    Init init;
-    bool addr = false;
-    if (view_.Is(b, "&")) {
-      addr = true;
-      ++b;
-    }
-    if (view_.Is(b, "*")) ++b;
-    if (!view_.IsIdentTok(b)) return init;
-    if (view_.Is(b, "this") && view_.Is(b + 1, "->") &&
-        view_.IsIdentTok(b + 2)) {
-      b += 2;  // this->member chains: the member is the owner.
-    }
-    const std::string& base = view_.At(b).text;
-    if (base == "std" || base == "nullptr" || base == "new" ||
-        base == "this" || IsCallKeyword(base)) {
-      return init;
-    }
-    // Qualified names (Cls::Global(), ns::obj) reach static storage,
-    // not a local owner object.
-    if (view_.Is(b + 1, "::")) return init;
-    // Alias of an already-tracked view inherits its provenance (also
-    // with pointer arithmetic: `p + offset`).
-    auto tracked = views_.find(base);
-    if (tracked != views_.end()) {
-      init.owner = tracked->second.owner;
-      init.callee = tracked->second.callee;
-      init.matched = true;
-      return init;
-    }
-    // Free call: view-ness depends entirely on the callee (pass 2).
-    if (view_.Is(b + 1, "(")) {
-      init.callee = base;
-      init.matched = true;
-      return init;
-    }
-    const Chain c = WalkChain(b);
-    if (!c.callee.empty()) {
-      init.owner = base;
-      // data()/begin()/… are definitely views; other callees are
-      // resolved by pass 2 (ReturnsView).
-      if (!IsBuiltinViewMethod(c.callee)) init.callee = c.callee;
-      init.matched = true;
-      return init;
-    }
-    if (c.element && !by_value) {
-      init.owner = base;  // &v[i] / v[i] bound by reference.
-      init.matched = true;
-      return init;
-    }
-    if (addr) return init;  // &local: no generation to outlive.
-    if (!by_value && bare_ok && c.end == b + 1) {
-      init.owner = base;  // string_view sv = str; / for (auto& e : vec)
-      init.matched = true;
-      return init;
-    }
-    return init;
-  }
-
-  // Recognizes view-producing declarations at statement start:
-  //   [static] [const] T* name = init;
-  //   [static] [const] std::span<T> name = init;   (also string_view)
-  //   auto [*|&] name = init;                      (resolved via init)
-  // plus the range-for forms with `:`. Returns one past the declarator
-  // name on a bind, `i` otherwise.
-  std::size_t TryBind(std::size_t i, int depth) {
-    std::size_t j = i;
-    bool is_static = false;
-    while (view_.IsIdentTok(j) && (view_.Is(j, "static") ||
-                                   view_.Is(j, "const") ||
-                                   view_.Is(j, "constexpr"))) {
-      if (view_.Is(j, "static")) is_static = true;
-      ++j;
-    }
-    if (!view_.IsIdentTok(j)) return i;
-
-    bool by_value = false;     // Plain `auto x = ...` copies.
-    bool type_view = false;    // span / string_view: the type says view.
-    std::size_t name_at = 0;
-    if (view_.Is(j, "auto")) {
-      std::size_t k = j + 1;
-      bool ref = false;
-      if (view_.Is(k, "&") || view_.Is(k, "&&")) {
-        ref = true;
-        ++k;
-      } else if (view_.Is(k, "*")) {
-        ++k;
-      }
-      if (view_.Is(k, "const")) ++k;
-      if (!view_.IsIdentTok(k)) return i;
-      by_value = !ref && !view_.Is(j + 1, "*");
-      name_at = k;
-    } else {
-      std::size_t k = j;
-      if (view_.Is(k, "std") && view_.Is(k + 1, "::")) k += 2;
-      if (!view_.IsIdentTok(k)) return i;
-      const std::string& ty = view_.At(k).text;
-      std::size_t after_ty = k + 1;
-      if (view_.Is(after_ty, "<")) {
-        const std::size_t past = view_.SkipTemplateArgs(after_ty);
-        if (past == after_ty) return i;
-        after_ty = past;
-      }
-      if (ty == "span" || ty == "string_view") {
-        type_view = true;
-      } else {
-        while (view_.Is(after_ty, "::") && view_.IsIdentTok(after_ty + 1)) {
-          after_ty += 2;
-          if (view_.Is(after_ty, "<")) {
-            const std::size_t past = view_.SkipTemplateArgs(after_ty);
-            if (past == after_ty) return i;
-            after_ty = past;
-          }
-        }
-        if (!view_.Is(after_ty, "*")) return i;
-        ++after_ty;
-        if (view_.Is(after_ty, "const")) ++after_ty;
-      }
-      if (!view_.IsIdentTok(after_ty)) return i;
-      name_at = after_ty;
-    }
-
-    const std::string& name = view_.At(name_at).text;
-    if (IsCallKeyword(name)) return i;
-    std::size_t init_at = name_at + 1;
-    const bool range_for = view_.Is(init_at, ":");
-    if (view_.Is(init_at, "=") || view_.Is(init_at, ":") ||
-        view_.Is(init_at, "(") || view_.Is(init_at, "{")) {
-      ++init_at;
-    } else {
-      return i;
-    }
-
-    // AnalyzeInit in by-value mode already refuses forms that copy the
-    // value (element access, bare owner); a span/string_view is a view
-    // even when the initializer's shape is unrecognized.
-    Init init =
-        AnalyzeInit(init_at, by_value && !type_view, type_view || range_for);
-    if (!init.matched && !type_view) return i;
-
-    ViewBind bind;
-    bind.owner = init.owner;
-    bind.callee = init.callee;
-    bind.bind_line = view_.At(name_at).line;
-    bind.bind_tok = name_at;
-    bind.depth = depth;
-    // Declarations inside statement parens — the range-for loop
-    // variable, `for (auto it = ...;` — scope to the statement's body,
-    // which opens one brace level deeper.
-    if (i > 0 && (view_.Is(i - 1, "(") || view_.Is(i - 1, ":"))) {
-      bind.depth = depth + 1;
-    }
-    views_[name] = bind;
-    all_binds_.push_back(
-        {name, bind.owner, bind.callee, bind.bind_line, bind.bind_tok});
-    if (is_static) {
-      AddCandidate(BorrowCandidate::kEscapeStatic, name, bind,
-                   "static " + name, bind.bind_line);
-    }
-    return name_at + 1;
-  }
-
-  void HandleMemberStore(const std::string& member, std::size_t rhs_at,
-                         int line) {
-    std::size_t b = rhs_at;
-    bool addr = false;
-    if (view_.Is(b, "&")) {
-      addr = true;
-      ++b;
-    }
-    if (!view_.IsIdentTok(b)) return;
-    const std::string& base = view_.At(b).text;
-    auto tracked = views_.find(base);
-    if (tracked != views_.end()) {
-      AddCandidate(BorrowCandidate::kEscapeMember, base, tracked->second,
-                   member, line);
-      return;
-    }
-    if (base == "std" || base == "nullptr" || IsCallKeyword(base)) return;
-    const Chain c = WalkChain(b);
-    if (!c.callee.empty() || (addr && c.element)) {
-      ViewBind bind;
-      bind.owner = base;
-      bind.callee = c.callee;
-      bind.bind_line = line;
-      AddCandidate(BorrowCandidate::kEscapeMember, "", bind, member, line);
-    }
-  }
-
-  // One past the `;` ending the statement at i (RHS of an assignment is
-  // evaluated before the store, so uses inside it are not use-after).
-  std::size_t PastStatement(std::size_t i) const {
-    for (std::size_t j = i; j < body_close_; ++j) {
-      if (view_.Is(j, "(")) {
-        j = view_.SkipParens(j) - 1;
-      } else if (view_.Is(j, "{")) {
-        j = view_.MatchBrace(j);
-      } else if (view_.Is(j, ";")) {
-        return j + 1;
-      }
-    }
-    return body_close_;
-  }
-
-  void HandleAssignment(std::size_t i) {
-    const std::string& name = view_.At(i).text;
-    views_.erase(name);  // Rebound: the old view is gone either way.
-    // Owner reassignment is a generation boundary for its live views.
-    KillOwner(name, "operator=", PastStatement(i));
-  }
-
-  void HandleSwapCall(std::size_t swap_at) {
-    const std::size_t past = view_.SkipParens(swap_at + 1);
-    for (const auto& [b, e] : view_.SplitArgs(swap_at + 1)) {
-      std::size_t k = b;
-      if (view_.Is(k, "&") || view_.Is(k, "*")) ++k;
-      if (!view_.IsIdentTok(k) || k + 1 != e) continue;
-      KillOwner(view_.At(k).text, "std::swap", past);
-      RecordParamKill(view_.At(k).text);
-    }
-  }
-
-  void HandleChainUse(std::size_t base_at) {
-    const Chain c = WalkChain(base_at);
-    if (c.callee.empty()) return;
-    // `file->nolint[target].clear()` mutates the innermost container,
-    // not the base the views were taken from — only direct
-    // `base.method()` chains kill or invalidate the base's views.
-    if (!c.direct) return;
-    const std::string& owner = view_.At(base_at).text;
-    const bool gen = IsGenerationKillMethod(c.callee);
-    const bool inval = IsInvalidatingMethod(c.callee);
-    if (!gen && !inval) return;
-    for (auto it = views_.begin(); it != views_.end();) {
-      if (it->second.owner == owner && it->first != owner) {
-        const int use = FindUseAfter(c.end, it->first);
-        if (use > 0) {
-          AddCandidate(gen ? BorrowCandidate::kGeneration
-                           : BorrowCandidate::kInvalidation,
-                       it->first, it->second, c.callee, use);
-        }
-        it = views_.erase(it);
-        continue;
-      }
-      ++it;
-    }
-    if (gen) RecordParamKill(owner);
-  }
-
-  void HandleHelperCall(const std::string& callee, std::size_t name_at) {
-    const std::size_t past = view_.SkipParens(name_at + 1);
-    const auto args = view_.SplitArgs(name_at + 1);
-    for (std::size_t a = 0; a < args.size(); ++a) {
-      std::size_t k = args[a].first;
-      if (view_.Is(k, "&") || view_.Is(k, "*")) ++k;
-      if (!view_.IsIdentTok(k) || k + 1 != args[a].second) continue;
-      const std::string& owner = view_.At(k).text;
-      for (const auto& [var, bind] : views_) {
-        if (bind.owner != owner || var == owner) continue;
-        if (!helper_seen_.insert(var + '\x01' + callee).second) continue;
-        const int use = FindUseAfter(past, var);
-        if (use > 0) {
-          AddCandidate(BorrowCandidate::kGeneration, var, bind, callee, use,
-                       callee, static_cast<int>(a));
-        }
-      }
-    }
-  }
-
-  void KillOwner(const std::string& owner, const std::string& why,
-                 std::size_t from) {
-    for (auto it = views_.begin(); it != views_.end();) {
-      if (it->second.owner == owner && it->first != owner) {
-        const int use = FindUseAfter(from, it->first);
-        if (use > 0) {
-          AddCandidate(BorrowCandidate::kGeneration, it->first, it->second,
-                       why, use);
-        }
-        it = views_.erase(it);
-        continue;
-      }
-      ++it;
-    }
-  }
-
-  // First use of `var` strictly after `from`; 0 when the next event is a
-  // rebind (`var = ...` — the stale view is discarded, not used).
-  int FindUseAfter(std::size_t from, const std::string& var) const {
-    for (std::size_t j = from; j < body_close_; ++j) {
-      if (!view_.IsIdentTok(j) || view_.At(j).text != var) continue;
-      if (view_.Is(j - 1, ".") || view_.Is(j - 1, "->") ||
-          view_.Is(j - 1, "::")) {
-        continue;
-      }
-      if (view_.Is(j + 1, "=") && !view_.Is(j + 2, "=")) return 0;
-      return view_.At(j).line;
-    }
-    return 0;
-  }
-
-  void RecordParamKill(const std::string& name) {
-    auto it = param_index_.find(name);
-    if (it == param_index_.end()) return;
-    const int idx = static_cast<int>(it->second);
-    if (std::find(fn_->kill_params.begin(), fn_->kill_params.end(), idx) ==
-        fn_->kill_params.end()) {
-      fn_->kill_params.push_back(idx);
-    }
-  }
-
-  void AddCandidate(BorrowCandidate::Kind kind, const std::string& var,
-                    const ViewBind& bind, std::string detail, int line,
-                    std::string kill_callee = std::string(),
-                    int kill_arg = -1) {
-    BorrowCandidate c;
-    c.kind = kind;
-    c.var = var;
-    c.owner = bind.owner;
-    c.view_callee = bind.callee;
-    c.detail = std::move(detail);
-    c.kill_callee = std::move(kill_callee);
-    c.kill_arg = kill_arg;
-    c.bind_line = bind.bind_line;
-    c.line = line;
-    fn_->borrows.push_back(std::move(c));
-  }
-
-  void CollectWorkerBodies(std::size_t body_open, std::size_t body_close) {
-    for (std::size_t i = body_open; i < body_close; ++i) {
-      if (!view_.IsIdentTok(i) || !IsWorkerDispatcher(view_.At(i).text)) {
-        continue;
-      }
-      if (view_.Is(i - 1, ".") || view_.Is(i - 1, "->")) continue;
-      std::size_t j = i + 1;
-      if (view_.Is(j, "<")) j = view_.SkipTemplateArgs(j);
-      if (view_.IsIdentTok(j)) ++j;  // std::thread t(...)
-      if (!view_.Is(j, "(")) continue;
-      const std::size_t past = view_.SkipParens(j);
-      for (std::size_t k = j + 1; k < past; ++k) {
-        if (!view_.Is(k, "[")) continue;
-        std::size_t body = view_.SkipBrackets(k);
-        if (view_.Is(body, "(")) body = view_.SkipParens(body);
-        while (view_.Is(body, "mutable") || view_.Is(body, "noexcept")) {
-          ++body;
-        }
-        if (view_.Is(body, "->")) {
-          while (body < past && !view_.Is(body, "{")) ++body;
-        }
-        if (!view_.Is(body, "{")) continue;
-        worker_bodies_.push_back(
-            {body, view_.MatchBrace(body), view_.At(i).text});
-        break;
-      }
-    }
-  }
-
-  // A view bound before a worker lambda but referenced inside it crosses
-  // onto other threads; views taken inside the body are per-worker and
-  // fine (the pattern the SoA banks are designed for).
-  void ResolveCaptureEscapes() {
-    for (const WorkerBody& wb : worker_bodies_) {
-      for (const BindEvent& bind : all_binds_) {
-        if (bind.bind_tok >= wb.open) continue;
-        bool shadowed = false;
-        for (const BindEvent& other : all_binds_) {
-          if (other.var == bind.var && other.bind_tok > wb.open &&
-              other.bind_tok < wb.close) {
-            shadowed = true;
-            break;
-          }
-        }
-        if (shadowed) continue;
-        for (std::size_t j = wb.open + 1; j < wb.close; ++j) {
-          if (!view_.IsIdentTok(j) || view_.At(j).text != bind.var) continue;
-          if (view_.Is(j - 1, ".") || view_.Is(j - 1, "->") ||
-              view_.Is(j - 1, "::")) {
-            continue;
-          }
-          ViewBind vb;
-          vb.owner = bind.owner;
-          vb.callee = bind.callee;
-          vb.bind_line = bind.bind_line;
-          AddCandidate(BorrowCandidate::kEscapeCapture, bind.var, vb,
-                       wb.dispatcher, view_.At(j).line);
-          break;
-        }
-      }
-    }
-  }
-
-  const TokenView& view_;
-  FunctionSummary* fn_;
-  std::size_t body_close_ = 0;
-  std::map<std::string, std::size_t> param_index_;
-  std::map<std::string, ViewBind> views_;
-  std::vector<BindEvent> all_binds_;
-  std::vector<WorkerBody> worker_bodies_;
-  std::set<std::string> helper_seen_;
-};
-
 // ------------------------------------------------------ summary builder --
 
 class SummaryBuilder {
@@ -1393,10 +768,8 @@ class SummaryBuilder {
     out.includes = file_.includes;
     out.nolint = file_.nolint;
     CollectRanks();
-    CollectBorrowMarkers();
     CollectFallible(&out);
     MainWalk(&out);
-    CollectViewMembers(&out);
     return out;
   }
 
@@ -1418,40 +791,6 @@ class SummaryBuilder {
         continue;
       }
       rank_by_line_[tok.line] = rank;
-    }
-  }
-
-  // LIFETIME_BOUND / OWNS_VIEWS markers, by line. Both the comment form
-  // (`// LIFETIME_BOUND`) and the macro form (`SNOR_LIFETIME_BOUND`,
-  // which lexes as an identifier) are accepted.
-  void CollectBorrowMarkers() {
-    for (const Token& tok : file_.tokens) {
-      if (tok.kind != Tok::kComment && tok.kind != Tok::kIdent) continue;
-      if (tok.text.find(kLifetimeBoundMarker) != std::string::npos) {
-        lifetime_lines_.insert(tok.line);
-      }
-      if (tok.text.find(kOwnsViewsMarker) != std::string::npos) {
-        owns_lines_.insert(tok.line);
-      }
-    }
-  }
-
-  // OWNS_VIEWS lines not consumed by a class head sanction a view-
-  // holding member: the first identifier on the line followed by a
-  // declarator terminator names it (same heuristic as GUARDED_BY).
-  void CollectViewMembers(TuSummary* out) {
-    const TokenView view(code_);
-    for (int line : owns_lines_) {
-      if (owner_class_lines_.count(line) > 0) continue;
-      for (std::size_t i = 0; i < code_.size(); ++i) {
-        if (code_[i].line != line || code_[i].kind != Tok::kIdent) continue;
-        const std::string& next = view.At(i + 1).text;
-        if (next == ";" || next == "=" || next == "{" || next == "[" ||
-            next == ",") {
-          out->view_members.insert(code_[i].text);
-          break;
-        }
-      }
     }
   }
 
@@ -1568,12 +907,6 @@ class SummaryBuilder {
         if (!name.empty()) {
           pending = Scope::kClass;
           pending_name = name;
-          // OWNS_VIEWS on the class head: its pointer/iterator-returning
-          // methods hand out borrowed views.
-          if (owns_lines_.count(t.line) > 0) {
-            out->owner_classes.insert(name);
-            owner_class_lines_.insert(t.line);
-          }
         }
         continue;
       }
@@ -1624,91 +957,13 @@ class SummaryBuilder {
           }
           fn.params = ParseParams(view, i + 1, params_end);
           const std::size_t body_close = view.MatchBrace(body);
-          fn.view_return = ClassifyViewReturn(view, i);
-          // String-literal-only returns (name/tag lookup switches) have
-          // static storage duration: not borrows, whatever the type.
-          if (fn.view_return != ViewReturn::kNone &&
-              OnlyLiteralReturns(view, body, body_close)) {
-            fn.view_return = ViewReturn::kNone;
-          }
-          for (int ln = fn.line - 1; ln <= view.At(body).line; ++ln) {
-            if (lifetime_lines_.count(ln) > 0) {
-              fn.lifetime_bound = true;
-              break;
-            }
-          }
           LockWalker(view, &fn).Walk(body, body_close);
           PromiseWalker(view, &fn).WalkBlock(body + 1, body_close);
-          BorrowWalker(view, &fn).Walk(body, body_close);
           out->functions.push_back(std::move(fn));
           pending_fn_brace = body;
         }
       }
     }
-  }
-
-  // Syntactic view-ness of the return type written before the function
-  // name at `name_at` (outermost type only: a vector<string_view> is a
-  // value, span<T> is a view).
-  static ViewReturn ClassifyViewReturn(const TokenView& view,
-                                       std::size_t name_at) {
-    std::size_t q = name_at;
-    while (q >= 2 && view.Is(q - 1, "::") && view.IsIdentTok(q - 2)) {
-      q -= 2;  // Strip `Cls::` qualifiers off the definition name.
-    }
-    if (q == 0) return ViewReturn::kNone;
-    std::size_t t = q - 1;  // Last token of the return type.
-    // Start of the declaration (statement / class-body boundary).
-    std::size_t start = t;
-    int guard = 0;
-    while (start > 0 && ++guard < 64) {
-      const std::string& s = view.At(start - 1).text;
-      if (s == ";" || s == "{" || s == "}" || s == ":") break;
-      --start;
-    }
-    if (view.Is(t, "const") && t > start) --t;  // `T* const f()`
-    if (view.Is(t, "*")) return ViewReturn::kPointer;
-    if (view.Is(t, ">")) {
-      // Walk back to the matching '<'; the identifier before it is the
-      // outermost template.
-      int depth = 0;
-      std::size_t k = t;
-      while (k > start) {
-        if (view.Is(k, ">")) ++depth;
-        if (view.Is(k, "<") && --depth == 0) break;
-        --k;
-      }
-      if (k > start && view.IsIdentTok(k - 1) &&
-          view.At(k - 1).text == "span") {
-        return ViewReturn::kSpan;
-      }
-      return ViewReturn::kNone;
-    }
-    if (view.IsIdentTok(t)) {
-      const std::string& ty = view.At(t).text;
-      if (ty == "string_view") return ViewReturn::kStringView;
-      if (ty == "iterator" || ty == "const_iterator") {
-        return ViewReturn::kIterator;
-      }
-    }
-    return ViewReturn::kNone;
-  }
-
-  // True when the body has ≥1 return and every one returns only string
-  // literals (static storage — the classic name/tag switch).
-  static bool OnlyLiteralReturns(const TokenView& view, std::size_t body,
-                                 std::size_t body_close) {
-    bool any = false;
-    for (std::size_t k = body + 1; k < body_close; ++k) {
-      if (!view.IsIdentTok(k) || view.At(k).text != "return") continue;
-      if (view.Is(k + 1, ";")) continue;
-      if (view.At(k + 1).kind != Tok::kString) return false;
-      std::size_t m = k + 1;  // `return "a" "b";` concatenation
-      while (view.At(m).kind == Tok::kString) ++m;
-      if (!view.Is(m, ";")) return false;
-      any = true;
-    }
-    return any;
   }
 
   // From the token after a function's parameter list, finds the body
@@ -1764,13 +1019,6 @@ class SummaryBuilder {
         ++j;
         continue;
       }
-      // Trailing SNOR_LIFETIME_BOUND macro (attribute position on the
-      // implicit object parameter) — still a definition.
-      if (t.kind == Tok::kIdent &&
-          t.text.find(kLifetimeBoundMarker) != std::string::npos) {
-        ++j;
-        continue;
-      }
       if (t.text == "(") {  // noexcept(...)
         j = view.SkipParens(j);
         continue;
@@ -1806,9 +1054,6 @@ class SummaryBuilder {
   const SourceFile& file_;
   std::vector<Token> code_;
   std::map<int, int> rank_by_line_;
-  std::set<int> lifetime_lines_;
-  std::set<int> owns_lines_;
-  std::set<int> owner_class_lines_;
 };
 
 // -------------------------------------------------------- serialization --
@@ -1854,31 +1099,6 @@ const char* PEvName(PEv kind) {
     case PEv::kEnd: return "end";
   }
   return "end";
-}
-
-const char* BorrowKindName(BorrowCandidate::Kind kind) {
-  switch (kind) {
-    case BorrowCandidate::kEscapeMember: return "member";
-    case BorrowCandidate::kEscapeStatic: return "static";
-    case BorrowCandidate::kEscapeCapture: return "capture";
-    case BorrowCandidate::kGeneration: return "gen";
-    case BorrowCandidate::kInvalidation: return "inval";
-  }
-  return "member";
-}
-
-bool BorrowKindFromName(const std::string& name,
-                        BorrowCandidate::Kind* out) {
-  static const std::map<std::string, BorrowCandidate::Kind> kMap = {
-      {"member", BorrowCandidate::kEscapeMember},
-      {"static", BorrowCandidate::kEscapeStatic},
-      {"capture", BorrowCandidate::kEscapeCapture},
-      {"gen", BorrowCandidate::kGeneration},
-      {"inval", BorrowCandidate::kInvalidation}};
-  auto it = kMap.find(name);
-  if (it == kMap.end()) return false;
-  *out = it->second;
-  return true;
 }
 
 bool PEvFromName(const std::string& name, PEv* out) {
@@ -1958,12 +1178,6 @@ std::string SerializeSummary(const TuSummary& s) {
   for (const std::string& cv : s.condvars) {
     out << "condvar\t" << cv << "\n";
   }
-  for (const std::string& c : s.owner_classes) {
-    out << "owner\t" << c << "\n";
-  }
-  for (const std::string& m : s.view_members) {
-    out << "vmember\t" << m << "\n";
-  }
   for (const FunctionSummary& fn : s.functions) {
     out << "fn\t" << fn.name << "\t" << OrDash(fn.cls) << "\t" << fn.line
         << "\t" << JoinList(fn.params) << "\t" << (fn.is_noreturn ? 1 : 0)
@@ -1991,20 +1205,6 @@ std::string SerializeSummary(const TuSummary& s) {
     for (const FunctionSummary::ParamPass& p : fn.passes) {
       out << "pass\t" << p.param << "\t" << p.callee << "\t" << p.arg_index
           << "\n";
-    }
-    if (fn.view_return != ViewReturn::kNone || fn.lifetime_bound) {
-      out << "vret\t" << static_cast<int>(fn.view_return) << "\t"
-          << (fn.lifetime_bound ? 1 : 0) << "\n";
-    }
-    for (int p : fn.kill_params) {
-      out << "kill\t" << p << "\n";
-    }
-    for (const BorrowCandidate& b : fn.borrows) {
-      out << "borrow\t" << BorrowKindName(b.kind) << "\t" << b.bind_line
-          << "\t" << b.line << "\t" << OrDash(b.var) << "\t"
-          << OrDash(b.owner) << "\t" << OrDash(b.view_callee) << "\t"
-          << OrDash(b.detail) << "\t" << OrDash(b.kill_callee) << "\t"
-          << b.kill_arg << "\n";
     }
     for (const PromiseLoop& loop : fn.promise_loops) {
       out << "ploop\t" << loop.line << "\n";
@@ -2065,36 +1265,6 @@ bool ParseSummary(const std::string& text, TuSummary* out) {
       out->mutexes.push_back(std::move(m));
     } else if (tag == "condvar" && f.size() >= 2) {
       out->condvars.insert(f[1]);
-    } else if (tag == "owner" && f.size() >= 2) {
-      out->owner_classes.insert(f[1]);
-    } else if (tag == "vmember" && f.size() >= 2) {
-      out->view_members.insert(f[1]);
-    } else if (tag == "vret" && fn != nullptr && f.size() >= 3) {
-      int vr = 0;
-      int lb = 0;
-      if (!ToInt(f[1], &vr) || !ToInt(f[2], &lb)) return false;
-      if (vr < 0 || vr > static_cast<int>(ViewReturn::kIterator)) {
-        return false;
-      }
-      fn->view_return = static_cast<ViewReturn>(vr);
-      fn->lifetime_bound = lb != 0;
-    } else if (tag == "kill" && fn != nullptr && f.size() >= 2) {
-      int p = 0;
-      if (!ToInt(f[1], &p)) return false;
-      fn->kill_params.push_back(p);
-    } else if (tag == "borrow" && fn != nullptr && f.size() >= 10) {
-      BorrowCandidate b;
-      if (!BorrowKindFromName(f[1], &b.kind)) return false;
-      if (!ToInt(f[2], &b.bind_line) || !ToInt(f[3], &b.line) ||
-          !ToInt(f[9], &b.kill_arg)) {
-        return false;
-      }
-      b.var = FromDash(f[4]);
-      b.owner = FromDash(f[5]);
-      b.view_callee = FromDash(f[6]);
-      b.detail = FromDash(f[7]);
-      b.kill_callee = FromDash(f[8]);
-      fn->borrows.push_back(std::move(b));
     } else if (tag == "fn" && f.size() >= 5) {
       FunctionSummary next;
       next.name = f[1];

@@ -28,9 +28,8 @@ namespace snor_analyze {
 
 // Bumped whenever the summary format or extraction semantics change;
 // cached summaries from older versions are rejected wholesale.
-// v2: borrow/escape facts (view returns, LIFETIME_BOUND / OWNS_VIEWS
-// annotations, kill params, borrow candidates).
-inline constexpr int kSummaryFormatVersion = 2;
+// v3: the borrowed-view facts of v2 are gone.
+inline constexpr int kSummaryFormatVersion = 3;
 
 /// A mutex (or other lockable) declaration. `rank` comes from a
 /// `LOCK_RANK(n)` comment on the declaration line; -1 = unranked.
@@ -110,42 +109,6 @@ struct PromiseLoop {
   std::vector<PEvent> events;
 };
 
-/// How a function's return value relates to borrowed storage
-/// (syntactic classification of the return type at the definition).
-enum class ViewReturn {
-  kNone,        // Returns by value (or nothing).
-  kPointer,     // Raw pointer return.
-  kSpan,        // std::span return.
-  kStringView,  // std::string_view return.
-  kIterator,    // iterator / const_iterator return.
-};
-
-/// One potential borrow hazard recorded by pass 1. Pass 2 resolves
-/// whether the bound value really is a view (via `view_callee` and the
-/// cross-TU ReturnsView relation), whether a helper call really kills
-/// the owner (`kill_callee`/`kill_arg` via the kills-closure), and
-/// whether a member store is sanctioned (OWNS_VIEWS member), then
-/// reports the survivors as view-escape / view-generation /
-/// view-invalidation findings.
-struct BorrowCandidate {
-  enum Kind {
-    kEscapeMember,   // View stored into a class member.
-    kEscapeStatic,   // View stored into a static/global.
-    kEscapeCapture,  // Outer view referenced inside a worker lambda.
-    kGeneration,     // Owner swap/reset/Load*/reassigned under a live view.
-    kInvalidation,   // Owner container mutated under a live view.
-  };
-  Kind kind = Kind::kEscapeMember;
-  std::string var;          // View variable ("" for direct member stores).
-  std::string owner;        // Owner the view was taken from ("" unknown).
-  std::string view_callee;  // Producing call; "" = definitely a view.
-  std::string detail;       // Member name / kill method / dispatcher name.
-  std::string kill_callee;  // kGeneration via helper: resolved in pass 2.
-  int kill_arg = -1;
-  int bind_line = 0;  // Where the view was taken.
-  int line = 0;       // Where the finding reports (store/use site).
-};
-
 /// Everything pass 2 needs to know about one function definition.
 struct FunctionSummary {
   std::string name;
@@ -170,18 +133,6 @@ struct FunctionSummary {
     int arg_index = -1;
   };
   std::vector<ParamPass> passes;
-  // --- borrow facts (summary format v2) ---
-  // Syntactic classification of the return type at the definition.
-  ViewReturn view_return = ViewReturn::kNone;
-  // `// LIFETIME_BOUND` on the signature: the returned view is tied to
-  // a parameter (or *this) — callers take responsibility for lifetime.
-  bool lifetime_bound = false;
-  // Parameter indices whose generation this function kills (swap /
-  // reset / Load* / whole-object reassignment); closed transitively in
-  // pass 2 through the generic `passes` edges.
-  std::vector<int> kill_params;
-  // Potential borrow hazards in this body, resolved by pass 2.
-  std::vector<BorrowCandidate> borrows;
 };
 
 /// A finding from the intra-procedural analyses, cached alongside the
@@ -204,14 +155,6 @@ struct TuSummary {
   std::set<std::string> fallible;  // Status/Result-returning decl names.
   std::vector<MutexDecl> mutexes;
   std::set<std::string> condvars;  // condition_variable member/local names.
-  // Classes whose head line carries `// OWNS_VIEWS`: their pointer- and
-  // iterator-returning methods yield borrowed views and must be
-  // LIFETIME_BOUND-annotated (view-return check).
-  std::set<std::string> owner_classes;
-  // Member names whose declaration line carries `// OWNS_VIEWS`: the
-  // member is sanctioned to hold views (generation-managed storage),
-  // exempt from the view-escape check. Program-wide union in pass 2.
-  std::set<std::string> view_members;
   std::vector<FunctionSummary> functions;
   std::vector<CachedFinding> intra_findings;
   // Fingerprint of cross-file inputs the intra findings depended on.

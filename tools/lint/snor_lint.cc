@@ -4,10 +4,6 @@
 // preprocessing. It walks src/, bench/, examples/, tests/ and tools/ and
 // enforces the invariants the fault-tolerant pipelines depend on:
 //
-//   discarded-status    A call to a Status/Result-returning function is
-//                       used as a bare statement, silently dropping the
-//                       error. The registry of fallible functions is
-//                       built by scanning every declaration in the tree.
 //   missing-nodiscard   A Status/Result-returning declaration, or a
 //                       factory/loader API (Make*/Load*/Create*/Build*/
 //                       Open*/Read* returning a value), lacks
@@ -25,8 +21,8 @@
 //                       guard (the project convention; #pragma once does
 //                       not count).
 //   unordered-report    std::unordered_{map,set} in code that feeds
-//                       printed reports (bench/, examples/, report_io,
-//                       table, csv): iteration order would make report
+//                       printed reports (bench/, examples/, table,
+//                       csv): iteration order would make report
 //                       output non-deterministic.
 //   span-metric-name    A string literal passed to SNOR_TRACE_SPAN,
 //                       TraceInstant, or a registry .counter/.gauge/
@@ -39,17 +35,11 @@
 //                       telemetry.emplace_back keys become JSON keys
 //                       in BENCH_<name>.json and must be lowercase
 //                       snake_case.
-//   annotation-typo     A token one typo away from the borrow-annotation
-//                       vocabulary (util/thread_annotations.h): a missing
-//                       or misplaced underscore, a dropped letter. A
-//                       typo'd macro in code fails to compile, but the
-//                       comment form of the markers (and macro mentions
-//                       in comments) silently drops the annotation —
-//                       snor_analyze would simply never see it.
 //
 // Suppression: `// NOLINT`, `// NOLINT(rule)` on the offending line or
-// `// NOLINTNEXTLINE(rule)` on the line above. Intentional Status
-// discards should be written `(void)Fallible();` instead.
+// `// NOLINTNEXTLINE(rule)` on the line above. A discarded Status or
+// Result is a compile error (`class [[nodiscard]]` in util/status.h plus
+// -Werror=unused-result in the root CMakeLists.txt), not a lint rule.
 //
 // Self-test: `snor_lint --self-test <dir>` scans fixture files that
 // carry `// EXPECT-LINT: rule` annotations and verifies the checker
@@ -300,7 +290,7 @@ bool PathContains(const std::string& path, std::string_view needle) {
   return path.find(needle) != std::string::npos;
 }
 
-// ------------------------------------------------------- fallible registry --
+// ------------------------------------------------------ declaration match --
 
 // Heuristic match for "declaration of a function returning Status or
 // Result<...>" on a single stripped line. Returns the declared name, or
@@ -407,24 +397,6 @@ std::string MatchFactoryDecl(const std::string& line, std::size_t* name_col) {
   return std::string();
 }
 
-// Names that are fallible but whose declarations the scanner cannot see
-// (deduced return types).
-const std::set<std::string>& BuiltinFallible() {
-  static const std::set<std::string> kNames = {"RetryWithBackoff", "status"};
-  return kNames;
-}
-
-std::set<std::string> BuildRegistry(const std::vector<SourceFile>& files) {
-  std::set<std::string> registry = BuiltinFallible();
-  for (const SourceFile& file : files) {
-    for (const std::string& line : file.code) {
-      const std::string name = MatchFallibleDecl(line, nullptr);
-      if (!name.empty()) registry.insert(name);
-    }
-  }
-  return registry;
-}
-
 // ------------------------------------------------------------ line checks --
 
 bool HasWord(const std::string& line, std::string_view word, std::size_t* at) {
@@ -462,7 +434,6 @@ void CheckBannedConstructs(const SourceFile& file, std::vector<Violation>* out) 
   const bool logging_exempt = PathContains(file.path, "src/util/logging");
   const bool report_scope = PathContains(file.path, "bench/") ||
                             PathContains(file.path, "examples/") ||
-                            PathContains(file.path, "src/core/report_io") ||
                             PathContains(file.path, "src/util/table") ||
                             PathContains(file.path, "src/util/csv");
   for (std::size_t i = 0; i < file.code.size(); ++i) {
@@ -648,87 +619,6 @@ void CheckSpanMetricNames(const SourceFile& file, std::vector<Violation>* out) {
   }
 }
 
-// ------------------------------------------------------ annotation typos --
-
-// The borrow-annotation vocabulary (util/thread_annotations.h). Assembled
-// at runtime so this file's own literals never read as the markers they
-// police.
-const std::vector<std::string>& AnnotationMacros() {
-  static const std::vector<std::string> kMacros = {
-      std::string("SNOR_LIFETIME") + "_BOUND",
-      std::string("SNOR_OWNS") + "_VIEWS",
-  };
-  return kMacros;
-}
-
-// Lowercased, underscores removed: the canonical form used to detect
-// misplaced/missing underscores.
-std::string FoldAnnotation(std::string_view token) {
-  std::string out;
-  for (char c : token) {
-    if (c != '_') {
-      out.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-  }
-  return out;
-}
-
-// True when `a` can be turned into `b` with at most one insert, delete,
-// or substitute.
-bool WithinOneEdit(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) return WithinOneEdit(b, a);
-  if (b.size() - a.size() > 1) return false;
-  std::size_t i = 0;
-  while (i < a.size() && a[i] == b[i]) ++i;
-  if (a.size() == b.size()) {
-    return a.substr(i + 1) == b.substr(i + 1);  // One substitution.
-  }
-  return a.substr(i) == b.substr(i + 1);  // One insertion into `a`.
-}
-
-void CheckAnnotationTypos(const SourceFile& file, std::vector<Violation>* out) {
-  // Scan the RAW lines: the dangerous typos live in comments, where the
-  // analyzer's comment-form markers are spelled, and where a typo cannot
-  // fail compilation.
-  for (std::size_t li = 0; li < file.raw.size(); ++li) {
-    const std::string& line = file.raw[li];
-    const int lineno = static_cast<int>(li) + 1;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (!IsIdentStart(line[i]) || (i > 0 && IsIdentChar(line[i - 1]))) {
-        continue;
-      }
-      std::size_t j = i;
-      while (j < line.size() && IsIdentChar(line[j])) ++j;
-      const std::string token = line.substr(i, j - i);
-      i = j;
-      bool macro_like = true;  // Markers are ALL_CAPS; skip prose/camelCase.
-      for (char c : token) {
-        if (std::islower(static_cast<unsigned char>(c))) macro_like = false;
-      }
-      if (!macro_like) continue;
-      for (const std::string& macro : AnnotationMacros()) {
-        const std::string marker = macro.substr(5);  // Comment form.
-        if (token == macro || token == marker) break;  // Exact: fine.
-        const bool prefixed = token.compare(0, 5, macro.substr(0, 5)) == 0;
-        const bool typo =
-            prefixed ? (FoldAnnotation(token) == FoldAnnotation(macro) ||
-                        WithinOneEdit(token, macro))
-                     : FoldAnnotation(token) == FoldAnnotation(marker);
-        if (!typo) continue;
-        if (!file.Suppressed(lineno, "annotation-typo")) {
-          out->push_back({file.path, lineno, "annotation-typo",
-                          "`" + token + "` looks like a misspelling of `" +
-                              (prefixed ? macro : marker) +
-                              "`; the annotation would be silently "
-                              "ignored by snor_analyze"});
-        }
-        break;
-      }
-    }
-  }
-}
-
 void CheckIncludeGuard(const SourceFile& file, std::vector<Violation>* out) {
   if (!file.IsHeader()) return;
   if (file.Suppressed(1, "include-guard")) return;
@@ -797,145 +687,13 @@ void CheckMissingNodiscard(const SourceFile& file, std::vector<Violation>* out) 
   }
 }
 
-// ------------------------------------------------- discarded-call scanner --
-
-// Parses `stmt` as a pure call chain (`a.b(...).c(...)`, `ns::F(...)`,
-// `obj->Get()->Run(...)`) and returns the final called name, or empty
-// when the statement is anything else (assignment, declaration, control
-// flow, arithmetic, ...).
-std::string FinalCallName(const std::string& stmt) {
-  std::size_t i = 0;
-  const std::size_t n = stmt.size();
-  auto skip_ws = [&] {
-    while (i < n && std::isspace(static_cast<unsigned char>(stmt[i]))) ++i;
-  };
-  skip_ws();
-  std::string last_name;
-  bool last_unit_called = false;
-  while (true) {
-    if (i >= n || !IsIdentStart(stmt[i])) return std::string();
-    // Qualified name: id (:: id)*.
-    std::string name;
-    while (true) {
-      std::size_t j = i;
-      while (j < n && IsIdentChar(stmt[j])) ++j;
-      name.assign(stmt, i, j - i);
-      i = j;
-      if (i + 1 < n && stmt[i] == ':' && stmt[i + 1] == ':') {
-        i += 2;
-        if (i >= n || !IsIdentStart(stmt[i])) return std::string();
-        continue;
-      }
-      break;
-    }
-    skip_ws();
-    // Optional template argument list.
-    if (i < n && stmt[i] == '<') {
-      int depth = 0;
-      std::size_t j = i;
-      for (; j < n; ++j) {
-        if (stmt[j] == '<') ++depth;
-        else if (stmt[j] == '>' && --depth == 0) break;
-        else if (stmt[j] == ';' || stmt[j] == '=') return std::string();
-      }
-      if (j >= n) return std::string();  // `a < b` comparison, not args.
-      i = j + 1;
-      skip_ws();
-    }
-    last_unit_called = false;
-    if (i < n && stmt[i] == '(') {
-      int depth = 0;
-      for (; i < n; ++i) {
-        if (stmt[i] == '(') ++depth;
-        else if (stmt[i] == ')' && --depth == 0) break;
-      }
-      if (i >= n) return std::string();
-      ++i;  // Past ')'.
-      last_unit_called = true;
-      last_name = name;
-    }
-    skip_ws();
-    if (i >= n) {
-      return last_unit_called ? last_name : std::string();
-    }
-    if (stmt[i] == '.') {
-      ++i;
-      skip_ws();
-      continue;
-    }
-    if (i + 1 < n && stmt[i] == '-' && stmt[i + 1] == '>') {
-      i += 2;
-      skip_ws();
-      continue;
-    }
-    return std::string();  // Operator, assignment, second declarator, ...
-  }
-}
-
-void CheckDiscardedCalls(const SourceFile& file,
-                         const std::set<std::string>& registry,
-                         std::vector<Violation>* out) {
-  // Statement stream: preprocessor lines blanked, then split on `;` / `{`
-  // / `}` at parenthesis depth 0.
-  std::string stmt;
-  int stmt_line = 1;  // Line where the current statement started.
-  bool stmt_started = false;
-  int paren_depth = 0;
-  bool in_directive = false;  // Inside a (possibly \-continued) directive.
-  for (std::size_t li = 0; li < file.code.size(); ++li) {
-    std::string line = file.code[li];
-    std::size_t first = line.find_first_not_of(" \t");
-    if (in_directive || (first != std::string::npos && line[first] == '#')) {
-      // Preprocessor directives (and macro-definition continuation
-      // lines) are not statements.
-      in_directive = !line.empty() && line.back() == '\\';
-      continue;
-    }
-    const int lineno = static_cast<int>(li) + 1;
-    for (char c : line) {
-      if (c == '(' || c == '[') ++paren_depth;
-      if (c == ')' || c == ']') --paren_depth;
-      if (paren_depth <= 0 && (c == '{' || c == '}')) {
-        stmt.clear();
-        stmt_started = false;
-        paren_depth = 0;
-        continue;
-      }
-      if (paren_depth <= 0 && c == ';') {
-        const std::string name = FinalCallName(stmt);
-        if (!name.empty() && registry.count(name) > 0 &&
-            !file.Suppressed(stmt_line, "discarded-status") &&
-            !file.Suppressed(lineno, "discarded-status")) {
-          out->push_back(
-              {file.path, stmt_line, "discarded-status",
-               "result of fallible `" + name +
-                   "` is silently discarded; check it, propagate it, or "
-                   "write `(void)" + name + "(...)` with a reason"});
-        }
-        stmt.clear();
-        stmt_started = false;
-        continue;
-      }
-      if (!stmt_started && !std::isspace(static_cast<unsigned char>(c))) {
-        stmt_started = true;
-        stmt_line = lineno;
-      }
-      stmt.push_back(c);
-    }
-    stmt.push_back('\n');
-  }
-}
-
 // ---------------------------------------------------------------- driver --
 
-void CheckFile(const SourceFile& file, const std::set<std::string>& registry,
-               std::vector<Violation>* out) {
+void CheckFile(const SourceFile& file, std::vector<Violation>* out) {
   CheckBannedConstructs(file, out);
   CheckIncludeGuard(file, out);
   CheckMissingNodiscard(file, out);
-  CheckDiscardedCalls(file, registry, out);
   CheckSpanMetricNames(file, out);
-  CheckAnnotationTypos(file, out);
 }
 
 bool IsSourcePath(const fs::path& p) {
@@ -971,19 +729,17 @@ int LintPaths(const std::vector<std::string>& paths) {
     }
     files.push_back(std::move(file));
   }
-  const std::set<std::string> registry = BuildRegistry(files);
   std::vector<Violation> violations;
   for (const SourceFile& file : files) {
-    CheckFile(file, registry, &violations);
+    CheckFile(file, &violations);
   }
   std::sort(violations.begin(), violations.end());
   for (const Violation& v : violations) {
     std::printf("%s:%d: [%s] %s\n", v.file.c_str(), v.line, v.rule.c_str(),
                 v.message.c_str());
   }
-  std::printf("snor_lint: %zu file(s), %zu violation(s), %zu fallible "
-              "function(s) in registry\n",
-              files.size(), violations.size(), registry.size());
+  std::printf("snor_lint: %zu file(s), %zu violation(s)\n", files.size(),
+              violations.size());
   return violations.empty() ? 0 : 1;
 }
 
@@ -1013,13 +769,11 @@ int SelfTest(const fs::path& dir) {
     }
     files.push_back(std::move(file));
   }
-  const std::set<std::string> registry = BuildRegistry(files);
-
   int failures = 0;
   std::size_t matched = 0;
   for (const SourceFile& file : files) {
     std::vector<Violation> got;
-    CheckFile(file, registry, &got);
+    CheckFile(file, &got);
 
     // Expected rules per line, from raw text (annotations live in
     // comments, which the code view strips).

@@ -1,7 +1,6 @@
 // LINT-AS: src/core/bad_header.h EXPECT-LINT: include-guard
 // Fixture: a header with no include guard whose fallible declarations
-// lack [[nodiscard]]. Declarations here also feed the self-test's
-// fallible-function registry for bad_discard.cc.
+// lack [[nodiscard]].
 
 #include <string>
 #include <vector>

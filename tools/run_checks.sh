@@ -41,17 +41,14 @@ for arg in "$@"; do
   esac
 done
 
-echo "== check: strict -Werror build + tests + lint =="
+echo "== check: strict -Werror build + tests (incl. discarded-Status compile-fail) + lint =="
 cmake --preset check
 cmake --build --preset check -j
 ctest --preset check -j
 ./build-check/tools/lint/snor_lint --root .
 
-echo "== analyze: layering + dataflow + concurrency + borrow (SARIF) =="
-# Blocking: any non-baselined finding fails the run — including the
-# borrowed-view lifetime/escape family (view-return / view-escape /
-# view-generation / view-invalidation), which gates the snapshot-swap
-# discipline on the SoA feature banks. The SARIF file is the
+echo "== analyze: layering + dataflow + concurrency (SARIF) =="
+# Blocking: any non-baselined finding fails the run. The SARIF file is the
 # machine-readable artifact for CI annotation upload. The summary cache
 # under build-check/analyze-cache makes repeat runs incremental; the
 # timed cold/warm pair below also gates the incrementality itself (a
