@@ -246,41 +246,6 @@ void BM_AnnCandidateRerank(benchmark::State& state) {
 }
 BENCHMARK(BM_AnnCandidateRerank)->Arg(1024)->Arg(4096);
 
-void BM_BankFloatDistances(benchmark::State& state) {
-  const auto train =
-      RandomDescriptors(static_cast<int>(state.range(0)), 128, 2);
-  const auto query = RandomDescriptors(1, 128, 1).front();
-  const FloatDescriptorBank bank = PackFloatDescriptors(train);
-  std::vector<float> out(bank.count);
-  for (auto _ : state) {
-    BankFloatDistances(bank, query, FloatNorm::kL2, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bank.count));
-}
-BENCHMARK(BM_BankFloatDistances)->Arg(500)->Arg(2000);
-
-void BM_BankHammingDistances(benchmark::State& state) {
-  Rng rng(7);
-  std::vector<BinaryDescriptor> train(
-      static_cast<std::size_t>(state.range(0)));
-  for (auto& d : train) {
-    for (auto& byte : d) byte = static_cast<std::uint8_t>(rng.Index(256));
-  }
-  BinaryDescriptor query;
-  for (auto& byte : query) byte = static_cast<std::uint8_t>(rng.Index(256));
-  const BinaryDescriptorBank bank = PackBinaryDescriptors(train);
-  std::vector<int> out(bank.count);
-  for (auto _ : state) {
-    BankHammingDistances(bank, query, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bank.count));
-}
-BENCHMARK(BM_BankHammingDistances)->Arg(500)->Arg(2000);
-
 void BM_Conv2DForward(benchmark::State& state) {
   Rng rng(3);
   Conv2D conv(8, 12, 5, 1, 2, rng);

@@ -1,14 +1,17 @@
-// Command-line classifier: builds (or loads) a serialized feature gallery
-// and classifies PPM images from disk — the deployment shape a robot
-// integration would use (no re-rendering, no re-processing the gallery).
+// Command-line classifier: builds (or loads) a feature-store gallery
+// (serve/feature_store) and classifies PPM images from disk — the
+// deployment shape a robot integration would use (no re-rendering, no
+// re-processing the gallery). A gallery written under other extraction
+// options is refused with InvalidArgument.
 //
 // Usage:
-//   classify_cli --build-gallery <gallery.bin>
-//   classify_cli --gallery <gallery.bin> [--black-background] img.ppm...
+//   classify_cli --build-gallery <gallery.fst>
+//   classify_cli --gallery <gallery.fst> [--black-background] img.ppm...
 //
 // With no arguments it runs a self-contained demo: builds the gallery,
 // saves it, exports a probe image, and classifies it.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -16,20 +19,33 @@
 
 #include "core/classifiers.h"
 #include "core/experiment.h"
-#include "core/gallery_io.h"
 #include "data/renderer.h"
 #include "img/color.h"
 #include "img/io_ppm.h"
+#include "serve/feature_store.h"
 #include "util/retry.h"
 
 namespace snor {
 namespace {
 
-int BuildGallery(const std::string& path) {
+/// The context the gallery is rendered and extracted from (lazy: building
+/// one costs nothing until its features are asked for).
+ExperimentContext GalleryContext() {
   ExperimentConfig config;
   config.nyu_fraction = 0.01;
-  ExperimentContext context(config);
-  const Status status = SaveFeatures(context.Sns1Features(), path);
+  return ExperimentContext(config);
+}
+
+/// Fingerprint of the options the SNS1 gallery features are extracted
+/// with; a store written under any other options does not load.
+std::uint64_t GalleryFingerprint() {
+  return serve::OptionsFingerprint(GalleryContext().FeatureOptionsFor(true));
+}
+
+int BuildGallery(const std::string& path) {
+  ExperimentContext context = GalleryContext();
+  const Status status = serve::SaveFeatureBank(path, GalleryFingerprint(),
+                                               context.Sns1Features());
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
@@ -48,8 +64,10 @@ int ClassifyFiles(const std::string& gallery_path,
   RetryOptions retry;
   retry.max_attempts = 3;
   retry.initial_backoff_ms = 2.0;
-  auto gallery = RetryWithBackoff(
-      retry, [&gallery_path] { return LoadFeatures(gallery_path); });
+  const std::uint64_t fingerprint = GalleryFingerprint();
+  auto gallery = RetryWithBackoff(retry, [&gallery_path, fingerprint] {
+    return serve::LoadFeatureBank(gallery_path, fingerprint);
+  });
   if (!gallery.ok()) {
     std::fprintf(stderr, "error: %s\n",
                  gallery.status().ToString().c_str());
@@ -88,7 +106,7 @@ int ClassifyFiles(const std::string& gallery_path,
 }
 
 int Demo() {
-  const std::string gallery_path = "/tmp/snor_gallery.bin";
+  const std::string gallery_path = "/tmp/snor_gallery.fst";
   const std::string probe_path = "/tmp/snor_probe.ppm";
   if (BuildGallery(gallery_path) != 0) return 1;
 
@@ -130,7 +148,7 @@ int main(int argc, char** argv) {
   }
   if (gallery_path.empty()) {
     std::fprintf(stderr,
-                 "usage: %s --build-gallery out.bin | --gallery g.bin "
+                 "usage: %s --build-gallery out.fst | --gallery g.fst "
                  "[--black-background] img.ppm...\n",
                  argv[0]);
     return 2;

@@ -365,15 +365,6 @@ FloatDescriptorBank PackFloatDescriptors(
   return bank;
 }
 
-void BankFloatDistances(const FloatDescriptorBank& bank,
-                        const FloatDescriptor& query, FloatNorm norm,
-                        float* out) {
-  SNOR_CHECK_EQ(query.size(), bank.dim);
-  for (std::size_t i = 0; i < bank.count; ++i) {
-    out[i] = FloatDistanceRaw(query.data(), bank.Row(i), bank.dim, norm);
-  }
-}
-
 void BankFloatSquaredL2(const FloatDescriptorBank& bank,
                         const FloatDescriptor& query, float* out) {
   SNOR_CHECK_EQ(query.size(), bank.dim);
@@ -399,28 +390,6 @@ void BankFloatSquaredL2(const FloatDescriptorBank& bank,
     }
     out[r] = ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5])) +
              ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7])) + tail;
-  }
-}
-
-BinaryDescriptorBank PackBinaryDescriptors(
-    const std::vector<BinaryDescriptor>& descriptors) {
-  BinaryDescriptorBank bank;
-  bank.count = descriptors.size();
-  bank.words.assign(bank.count * BinaryDescriptorBank::kWordsPerRow, 0);
-  for (std::size_t i = 0; i < bank.count; ++i) {
-    std::memcpy(bank.words.data() + i * BinaryDescriptorBank::kWordsPerRow,
-                descriptors[i].data(), sizeof(BinaryDescriptor));
-  }
-  return bank;
-}
-
-void BankHammingDistances(const BinaryDescriptorBank& bank,
-                          const BinaryDescriptor& query, int* out) {
-  std::array<std::uint64_t, BinaryDescriptorBank::kWordsPerRow> q_words;
-  std::memcpy(q_words.data(), query.data(), sizeof(BinaryDescriptor));
-  for (std::size_t i = 0; i < bank.count; ++i) {
-    out[i] = HammingDistanceWords(q_words.data(), bank.Row(i),
-                                  BinaryDescriptorBank::kWordsPerRow);
   }
 }
 

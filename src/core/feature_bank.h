@@ -9,12 +9,11 @@
 /// moments, L1-normalized color histograms, labels, validity) into flat,
 /// padded, 64-byte-stride arrays so the per-view inner loops stream
 /// contiguous memory instead of chasing a pointer into every view's
-/// separately allocated histogram, and the descriptor banks do the same
-/// for float and binarized (BRIEF/ORB) keypoint descriptors. These
-/// kernels are the only gallery scan of the paper's matching approaches:
-/// the cold classifiers run them over the whole bank on the caller's
-/// thread, the sharded BatchEngine over shard ranges and ANN candidate
-/// lists on its workers.
+/// separately allocated histogram; a float descriptor bank does the same
+/// for the ANN index's colour embeddings. These kernels are the only
+/// gallery scan of the paper's matching approaches: the cold classifiers
+/// run them over the whole bank on the caller's thread, the sharded
+/// BatchEngine over shard ranges and ANN candidate lists on its workers.
 ///
 /// Kernel contract — bit identity. Every bank kernel computes each
 /// per-pair score with the same arithmetic as the per-pair functions
@@ -28,7 +27,7 @@
 /// an ascending sum that starts at +0 unchanged; a query with a
 /// non-finite bin has a non-finite sum, which makes the score NaN either
 /// way. The other colour metrics call `CompareHistogramsRaw` on the dense
-/// row, descriptor kernels call `FloatDistanceRaw` / word-wise Hamming.
+/// row.
 /// Every kernel scans views in ascending index order, skips invalid views
 /// and non-finite scores, keeps the first strict optimum, and passes every
 /// shape score through `MaybePoisonScore`, so a range split into shards
@@ -43,7 +42,6 @@
 #include "core/classifiers.h"
 #include "core/feature_cache.h"
 #include "features/keypoint.h"
-#include "features/matcher.h"
 #include "geometry/moments.h"
 
 namespace snor {
@@ -183,12 +181,6 @@ struct FloatDescriptorBank {
 [[nodiscard]] FloatDescriptorBank PackFloatDescriptors(
     const std::vector<FloatDescriptor>& descriptors);
 
-/// out[i] = FloatDistance(query, descriptor i); bit-identical to the
-/// per-descriptor loop (shared FloatDistanceRaw core).
-void BankFloatDistances(const FloatDescriptorBank& bank,
-                        const FloatDescriptor& query, FloatNorm norm,
-                        float* out);
-
 /// out[i] = squared L2 distance from query to descriptor i, accumulated in
 /// float across independent lanes. Retrieval-only: the reassociated float
 /// sum is NOT bit-identical to FloatDistanceRaw's serial double
@@ -202,27 +194,6 @@ void BankFloatDistances(const FloatDescriptorBank& bank,
 /// results.
 void BankFloatSquaredL2(const FloatDescriptorBank& bank,
                         const FloatDescriptor& query, float* out);
-
-/// \brief Flat bank of 256-bit binary descriptors as aligned u64 words.
-/// Row() pointers die with `words`, as FeatureBank rows do.
-struct BinaryDescriptorBank {
-  static constexpr std::size_t kWordsPerRow = 4;  // 256 bits.
-
-  std::size_t count = 0;
-  std::vector<std::uint64_t> words;  ///< count * kWordsPerRow.
-
-  const std::uint64_t* Row(std::size_t i) const {
-    return words.data() + i * kWordsPerRow;
-  }
-};
-
-[[nodiscard]] BinaryDescriptorBank PackBinaryDescriptors(
-    const std::vector<BinaryDescriptor>& descriptors);
-
-/// out[i] = HammingDistance(query, descriptor i); integer popcount over
-/// pre-packed words, trivially identical to the byte-wise loop.
-void BankHammingDistances(const BinaryDescriptorBank& bank,
-                          const BinaryDescriptor& query, int* out);
 
 /// Options for the gallery-level ANN view index.
 struct GalleryIndexOptions {

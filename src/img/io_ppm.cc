@@ -1,6 +1,9 @@
 #include "img/io_ppm.h"
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <fstream>
 
 #include "util/fault.h"
@@ -57,12 +60,18 @@ Result<std::string> NextToken(std::istream& in) {
   return token;
 }
 
+// Reads a header value; every PNM header value (width, height, maxval)
+// must lie in [1, INT_MAX], so a value that would narrow is rejected.
 Result<int> NextInt(std::istream& in) {
   SNOR_ASSIGN_OR_RETURN(std::string token, NextToken(in));
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(token.c_str(), &end, 10);
   if (end == token.c_str() || *end != '\0') {
     return Status::IoError("bad integer in PNM header: " + token);
+  }
+  if (errno == ERANGE || v < 1 || v > INT_MAX) {
+    return Status::IoError("PNM header value out of range: " + token);
   }
   return static_cast<int>(v);
 }
@@ -85,13 +94,27 @@ Result<ImageU8> ReadPnm(const std::string& path) {
   SNOR_ASSIGN_OR_RETURN(int width, NextInt(file));
   SNOR_ASSIGN_OR_RETURN(int height, NextInt(file));
   SNOR_ASSIGN_OR_RETURN(int maxval, NextInt(file));
-  if (width <= 0 || height <= 0) {
-    return Status::IoError("bad PNM dimensions");
-  }
   if (maxval != 255) {
     return Status::NotImplemented("only maxval=255 PNM files are supported");
   }
   // NextToken already consumed the single whitespace byte after maxval.
+  // Check the declared raster against the bytes that are left before
+  // allocating it, so a lying header cannot size the allocation.
+  const std::streampos raster_start = file.tellg();
+  file.seekg(0, std::ios::end);
+  const std::streampos file_end = file.tellg();
+  file.seekg(raster_start);
+  const auto declared = static_cast<std::uint64_t>(width) *
+                        static_cast<std::uint64_t>(height) *
+                        static_cast<std::uint64_t>(channels);
+  const auto left = static_cast<std::uint64_t>(file_end - raster_start);
+  if (!file || declared > left) {
+    return Status::IoError(StrFormat(
+        "truncated PNM payload: header declares %llu byte(s), %llu remain: "
+        "%s",
+        static_cast<unsigned long long>(declared),
+        static_cast<unsigned long long>(left), path.c_str()));
+  }
   ImageU8 img(width, height, channels);
   file.read(reinterpret_cast<char*>(img.data()),
             static_cast<std::streamsize>(img.size()));

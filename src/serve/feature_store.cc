@@ -12,40 +12,6 @@
 
 namespace snor::serve {
 
-StoredViewBanks PackStoredViews(const std::vector<StoredView>& views) {
-  SNOR_TRACE_SPAN("serve.store.pack");
-  StoredViewBanks banks;
-
-  std::vector<ImageFeatures> features;
-  features.reserve(views.size());
-  std::vector<FloatDescriptor> floats;
-  std::vector<BinaryDescriptor> binaries;
-  banks.float_ranges.reserve(views.size());
-  banks.binary_ranges.reserve(views.size());
-  for (const StoredView& view : views) {
-    features.push_back(view.features);
-    const auto fb = static_cast<std::uint32_t>(floats.size());
-    floats.insert(floats.end(), view.float_descriptors.begin(),
-                  view.float_descriptors.end());
-    banks.float_ranges.emplace_back(fb,
-                                    static_cast<std::uint32_t>(floats.size()));
-    const auto bb = static_cast<std::uint32_t>(binaries.size());
-    binaries.insert(binaries.end(), view.binary_descriptors.begin(),
-                    view.binary_descriptors.end());
-    banks.binary_ranges.emplace_back(
-        bb, static_cast<std::uint32_t>(binaries.size()));
-  }
-
-  banks.features = PackFeatureBank(features);
-  banks.float_bank = PackFloatDescriptors(floats);
-  banks.binary_bank = PackBinaryDescriptors(binaries);
-
-  static obs::Counter& packed =
-      obs::MetricsRegistry::Global().counter("serve.store.packed_views");
-  packed.Increment(views.size());
-  return banks;
-}
-
 namespace {
 
 constexpr char kMagic[8] = {'S', 'N', 'O', 'R', 'F', 'S', 'T', '1'};
@@ -54,12 +20,12 @@ constexpr char kMagic[8] = {'S', 'N', 'O', 'R', 'F', 'S', 'T', '1'};
 constexpr std::uint32_t kMaxRecordBytes = 256u * 1024u * 1024u;
 
 /// Smallest record on disk: its size field, a payload holding a one-bin
-/// histogram and no descriptors, and its checksum. Bounds the record
-/// count a file of a given size can hold.
+/// histogram, and its checksum. Bounds the record count a file of a given
+/// size can hold.
 constexpr std::uint64_t kMinRecordBytes =
     sizeof(std::uint32_t) + 2 * sizeof(std::int32_t) + sizeof(std::uint8_t) +
     sizeof(HuMoments) + sizeof(std::int32_t) + sizeof(double) +
-    3 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
+    sizeof(std::uint64_t);
 
 // --------------------------------------------------------------- hashing --
 
@@ -84,25 +50,13 @@ std::uint64_t HashPod(std::uint64_t seed, const T& value) {
 
 // ----------------------------------------------------- buffer (de)coding --
 
-/// Append-only byte buffer the record payload is serialized into, so the
-/// checksum covers exactly the bytes on disk.
-class Encoder {
- public:
-  template <typename T>
-  void Pod(const T& value) {
-    const auto* p = reinterpret_cast<const char*>(&value);
-    buffer_.append(p, sizeof(T));
-  }
-
-  void Bytes(const void* data, std::size_t size) {
-    buffer_.append(static_cast<const char*>(data), size);
-  }
-
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
+/// Appends the raw bytes of `value` to a record payload, which is
+/// serialized in full first so the checksum covers exactly the bytes on
+/// disk.
+template <typename T>
+void PutPod(std::string* payload, const T& value) {
+  payload->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
 
 /// Cursor over a record payload; every read is bounds-checked so a
 /// corrupt length can never over-read.
@@ -133,32 +87,19 @@ class Decoder {
   std::size_t pos_ = 0;
 };
 
-void EncodeView(const StoredView& view, Encoder* enc) {
-  const ImageFeatures& f = view.features;
-  enc->Pod(static_cast<std::int32_t>(ClassIndex(f.label)));
-  enc->Pod(static_cast<std::int32_t>(f.model_id));
-  enc->Pod(static_cast<std::uint8_t>(f.valid ? 1 : 0));
-  for (double h : f.hu) enc->Pod(h);
-  enc->Pod(static_cast<std::int32_t>(f.histogram.bins_per_channel()));
+void EncodeFeatures(const ImageFeatures& f, std::string* payload) {
+  PutPod(payload, static_cast<std::int32_t>(ClassIndex(f.label)));
+  PutPod(payload, static_cast<std::int32_t>(f.model_id));
+  PutPod(payload, static_cast<std::uint8_t>(f.valid ? 1 : 0));
+  for (double h : f.hu) PutPod(payload, h);
+  PutPod(payload, static_cast<std::int32_t>(f.histogram.bins_per_channel()));
   const auto& bins = f.histogram.bins();
-  enc->Bytes(bins.data(), bins.size() * sizeof(double));
-
-  enc->Pod(static_cast<std::uint32_t>(view.float_descriptors.size()));
-  enc->Pod(static_cast<std::uint32_t>(
-      view.float_descriptors.empty() ? 0
-                                     : view.float_descriptors.front().size()));
-  for (const FloatDescriptor& d : view.float_descriptors) {
-    enc->Bytes(d.data(), d.size() * sizeof(float));
-  }
-  enc->Pod(static_cast<std::uint32_t>(view.binary_descriptors.size()));
-  for (const BinaryDescriptor& d : view.binary_descriptors) {
-    enc->Bytes(d.data(), d.size());
-  }
+  payload->append(reinterpret_cast<const char*>(bins.data()),
+                  bins.size() * sizeof(double));
 }
 
-Status DecodeView(const std::string& payload, StoredView* view) {
+Status DecodeFeatures(const std::string& payload, ImageFeatures* f) {
   Decoder dec(payload);
-  ImageFeatures& f = view->features;
   std::int32_t label = 0;
   std::int32_t model_id = 0;
   std::uint8_t valid = 0;
@@ -168,10 +109,10 @@ Status DecodeView(const std::string& payload, StoredView* view) {
   if (label < 0 || label >= kNumClasses) {
     return Status::IoError(StrFormat("bad class index %d", label));
   }
-  f.label = ClassFromIndex(label);
-  f.model_id = model_id;
-  f.valid = valid != 0;
-  for (double& h : f.hu) {
+  f->label = ClassFromIndex(label);
+  f->model_id = model_id;
+  f->valid = valid != 0;
+  for (double& h : f->hu) {
     if (!dec.Pod(&h)) return Status::IoError("truncated Hu moments");
   }
   std::int32_t bins_per_channel = 0;
@@ -183,43 +124,10 @@ Status DecodeView(const std::string& payload, StoredView* view) {
   if (side * side * side * sizeof(double) > dec.remaining()) {
     return Status::IoError("truncated histogram payload");
   }
-  f.histogram = ColorHistogram(bins_per_channel);
-  auto& bins = f.histogram.bins();
+  f->histogram = ColorHistogram(bins_per_channel);
+  auto& bins = f->histogram.bins();
   if (!dec.Bytes(bins.data(), bins.size() * sizeof(double))) {
     return Status::IoError("truncated histogram payload");
-  }
-
-  std::uint32_t float_count = 0;
-  std::uint32_t float_dim = 0;
-  if (!dec.Pod(&float_count) || !dec.Pod(&float_dim)) {
-    return Status::IoError("truncated float-descriptor header");
-  }
-  if (float_dim > 4096 || (float_count > 0 && float_dim == 0)) {
-    return Status::IoError("implausible float-descriptor shape");
-  }
-  if (std::uint64_t{float_count} * float_dim * sizeof(float) >
-      dec.remaining()) {
-    return Status::IoError("truncated float descriptors");
-  }
-  view->float_descriptors.assign(float_count, FloatDescriptor(float_dim));
-  for (FloatDescriptor& d : view->float_descriptors) {
-    if (!dec.Bytes(d.data(), d.size() * sizeof(float))) {
-      return Status::IoError("truncated float descriptors");
-    }
-  }
-  std::uint32_t binary_count = 0;
-  if (!dec.Pod(&binary_count)) {
-    return Status::IoError("truncated binary-descriptor header");
-  }
-  if (std::uint64_t{binary_count} * sizeof(BinaryDescriptor) >
-      dec.remaining()) {
-    return Status::IoError("truncated binary descriptors");
-  }
-  view->binary_descriptors.assign(binary_count, BinaryDescriptor{});
-  for (BinaryDescriptor& d : view->binary_descriptors) {
-    if (!dec.Bytes(d.data(), d.size())) {
-      return Status::IoError("truncated binary descriptors");
-    }
   }
   if (!dec.exhausted()) {
     return Status::IoError("trailing bytes in record payload");
@@ -244,9 +152,9 @@ std::uint64_t OptionsFingerprint(const FeatureOptions& options) {
   return h;
 }
 
-Status SaveFeatureStore(const std::string& path,
-                        std::uint64_t options_fingerprint,
-                        const std::vector<StoredView>& views) {
+Status SaveFeatureBank(const std::string& path,
+                       std::uint64_t options_fingerprint,
+                       const std::vector<ImageFeatures>& bank) {
   SNOR_TRACE_SPAN("serve.store.save");
   static obs::Counter& bytes_written =
       obs::MetricsRegistry::Global().counter("serve.store.bytes_written");
@@ -262,11 +170,11 @@ Status SaveFeatureStore(const std::string& path,
     };
     write_pod(kFeatureStoreVersion);
     write_pod(options_fingerprint);
-    write_pod(static_cast<std::uint32_t>(views.size()));
-    for (const StoredView& view : views) {
-      Encoder enc;
-      EncodeView(view, &enc);
-      const std::string& payload = enc.buffer();
+    write_pod(static_cast<std::uint32_t>(bank.size()));
+    std::string payload;
+    for (const ImageFeatures& features : bank) {
+      payload.clear();
+      EncodeFeatures(features, &payload);
       write_pod(static_cast<std::uint32_t>(payload.size()));
       out.write(payload.data(),
                 static_cast<std::streamsize>(payload.size()));
@@ -275,11 +183,11 @@ Status SaveFeatureStore(const std::string& path,
     }
   }));
   bytes_written.Increment(total_bytes);
-  records_written.Increment(views.size());
+  records_written.Increment(bank.size());
   return Status::OK();
 }
 
-Result<std::vector<StoredView>> LoadFeatureStore(
+Result<std::vector<ImageFeatures>> LoadFeatureBank(
     const std::string& path, std::uint64_t expected_fingerprint) {
   SNOR_TRACE_SPAN("serve.store.load");
   static obs::Histogram& load_latency_us =
@@ -288,7 +196,7 @@ Result<std::vector<StoredView>> LoadFeatureStore(
   static obs::Counter& bytes_read =
       obs::MetricsRegistry::Global().counter("serve.store.bytes_read");
   SNOR_RETURN_NOT_OK(
-      InjectFault(FaultPoint::kIoRead, "LoadFeatureStore " + path));
+      InjectFault(FaultPoint::kIoRead, "LoadFeatureBank " + path));
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open for reading: " + path);
   in.seekg(0, std::ios::end);
@@ -332,8 +240,8 @@ Result<std::vector<StoredView>> LoadFeatureStore(
         "can hold: %s",
         count, static_cast<unsigned long long>(file_size), path.c_str()));
   }
-  std::vector<StoredView> views;
-  views.reserve(count);
+  std::vector<ImageFeatures> bank;
+  bank.reserve(count);
   std::string payload;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t payload_size = 0;
@@ -359,41 +267,25 @@ Result<std::vector<StoredView>> LoadFeatureStore(
     in.read(payload.data(), static_cast<std::streamsize>(payload_size));
     std::uint64_t checksum = 0;
     if (in.gcount() != static_cast<std::streamsize>(payload_size) ||
-        !read_pod(&checksum) || FaultFires(FaultPoint::kTruncatedFile)) {
+        !read_pod(&checksum)) {
       return Status::IoError(
           StrFormat("truncated feature store at record %u: %s", i,
                     path.c_str()));
+    }
+    if (FaultFires(FaultPoint::kTruncatedFile)) {
+      return Status::IoError(
+          StrFormat("injected truncation at record %u: %s", i, path.c_str()));
     }
     if (Fnv1a(payload.data(), payload.size()) != checksum) {
       return Status::IoError(
           StrFormat("checksum mismatch at record %u: %s", i, path.c_str()));
     }
-    StoredView view;
-    SNOR_RETURN_NOT_OK(DecodeView(payload, &view));
+    ImageFeatures features;
+    SNOR_RETURN_NOT_OK(DecodeFeatures(payload, &features));
     total_bytes += sizeof(payload_size) + payload_size + sizeof(checksum);
-    views.push_back(std::move(view));
+    bank.push_back(std::move(features));
   }
   bytes_read.Increment(total_bytes);
-  return views;
-}
-
-Status SaveFeatureBank(const std::string& path,
-                       std::uint64_t options_fingerprint,
-                       const std::vector<ImageFeatures>& bank) {
-  std::vector<StoredView> views(bank.size());
-  for (std::size_t i = 0; i < bank.size(); ++i) {
-    views[i].features = bank[i];
-  }
-  return SaveFeatureStore(path, options_fingerprint, views);
-}
-
-Result<std::vector<ImageFeatures>> LoadFeatureBank(
-    const std::string& path, std::uint64_t expected_fingerprint) {
-  SNOR_ASSIGN_OR_RETURN(std::vector<StoredView> views,
-                        LoadFeatureStore(path, expected_fingerprint));
-  std::vector<ImageFeatures> bank;
-  bank.reserve(views.size());
-  for (StoredView& view : views) bank.push_back(std::move(view.features));
   return bank;
 }
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/classifiers.h"
+#include "features/matcher.h"
 #include "geometry/moments.h"
 #include "util/rng.h"
 
@@ -399,7 +400,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BankKernelFuzzTest,
                          ::testing::Values(17u, 29u, 43u, 97u));
 
 // ---------------------------------------------------------------------------
-// Descriptor banks: float L2/L1 and binary Hamming.
+// Float descriptor bank: the retrieval-only squared-L2 kernel.
 // ---------------------------------------------------------------------------
 
 std::vector<FloatDescriptor> RandomFloatDescriptors(std::size_t n,
@@ -412,40 +413,6 @@ std::vector<FloatDescriptor> RandomFloatDescriptors(std::size_t n,
     out.push_back(std::move(d));
   }
   return out;
-}
-
-TEST(DescriptorBankTest, FloatDistancesMatchScalarExactly) {
-  Rng rng(5);
-  const auto descs = RandomFloatDescriptors(33, 21, rng);  // Odd dim: pads.
-  const auto queries = RandomFloatDescriptors(4, 21, rng);
-  const FloatDescriptorBank bank = PackFloatDescriptors(descs);
-  std::vector<float> out(bank.count);
-  for (const auto norm : {FloatNorm::kL2, FloatNorm::kL1}) {
-    for (const auto& q : queries) {
-      BankFloatDistances(bank, q, norm, out.data());
-      for (std::size_t i = 0; i < descs.size(); ++i) {
-        EXPECT_EQ(out[i], FloatDistance(q, descs[i], norm)) << i;
-      }
-    }
-  }
-}
-
-TEST(DescriptorBankTest, HammingDistancesMatchScalarExactly) {
-  Rng rng(6);
-  std::vector<BinaryDescriptor> descs(57);
-  for (auto& d : descs) {
-    for (auto& byte : d) {
-      byte = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
-    }
-  }
-  BinaryDescriptor q;
-  for (auto& byte : q) byte = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
-  const BinaryDescriptorBank bank = PackBinaryDescriptors(descs);
-  std::vector<int> out(bank.count);
-  BankHammingDistances(bank, q, out.data());
-  for (std::size_t i = 0; i < descs.size(); ++i) {
-    EXPECT_EQ(out[i], HammingDistance(q, descs[i])) << i;
-  }
 }
 
 // The retrieval-only squared-L2 kernel is allowed to differ in rounding but

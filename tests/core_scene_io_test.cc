@@ -1,26 +1,15 @@
-// Tests for scene composition, frame segmentation, gallery serialization,
-// the parallel-for utility, and the HSV colour path.
+// Tests for scene composition, frame segmentation, the parallel-for
+// utility, and the HSV colour path.
 
 #include <atomic>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/classifiers.h"
 #include "core/experiment.h"
-#include "core/gallery_io.h"
 #include "core/segmentation.h"
 #include "data/scene.h"
-#include "hostile_input.h"
 #include "img/color.h"
 #include "util/parallel.h"
 
@@ -114,196 +103,6 @@ TEST(SegmentationTest, MaxObjectsCaps) {
 TEST(SegmentationTest, EmptyFrameYieldsNothing) {
   ImageU8 frame(100, 60, 3, 0);
   EXPECT_TRUE(SegmentFrame(frame).empty());
-}
-
-TEST(GalleryIoTest, RoundTripPreservesFeatures) {
-  ExperimentConfig config;
-  config.canvas_size = 48;
-  config.nyu_fraction = 0.005;
-  ExperimentContext context(config);
-  const auto& original = context.Sns1Features();
-
-  const std::string path = testing::TempDir() + "/snor_gallery_test.bin";
-  ASSERT_TRUE(SaveFeatures(original, path).ok());
-  auto loaded = LoadFeatures(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ((*loaded)[i].label, original[i].label);
-    EXPECT_EQ((*loaded)[i].model_id, original[i].model_id);
-    EXPECT_EQ((*loaded)[i].valid, original[i].valid);
-    for (int h = 0; h < 7; ++h) {
-      EXPECT_DOUBLE_EQ((*loaded)[i].hu[static_cast<std::size_t>(h)],
-                       original[i].hu[static_cast<std::size_t>(h)]);
-    }
-    EXPECT_EQ((*loaded)[i].histogram.bins(), original[i].histogram.bins());
-  }
-}
-
-TEST(GalleryIoTest, LoadedGalleryClassifiesIdentically) {
-  ExperimentConfig config;
-  config.canvas_size = 48;
-  config.nyu_fraction = 0.005;
-  ExperimentContext context(config);
-  const std::string path = testing::TempDir() + "/snor_gallery_cls.bin";
-  ASSERT_TRUE(SaveFeatures(context.Sns1Features(), path).ok());
-  auto loaded = LoadFeatures(path);
-  ASSERT_TRUE(loaded.ok());
-
-  HybridClassifier original(context.Sns1Features(), ShapeMatchMethod::kI3,
-                            HistCompareMethod::kHellinger, 0.3, 0.7,
-                            HybridStrategy::kWeightedSum);
-  HybridClassifier restored(loaded.MoveValue(), ShapeMatchMethod::kI3,
-                            HistCompareMethod::kHellinger, 0.3, 0.7,
-                            HybridStrategy::kWeightedSum);
-  const auto p1 = original.ClassifyAll(context.Sns2Features());
-  const auto p2 = restored.ClassifyAll(context.Sns2Features());
-  EXPECT_EQ(p1, p2);
-}
-
-TEST(GalleryIoTest, RejectsCorruptFiles) {
-  const std::string path = testing::TempDir() + "/snor_corrupt.bin";
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << "not a gallery";
-  }
-  EXPECT_FALSE(LoadFeatures(path).ok());
-  EXPECT_FALSE(LoadFeatures("/nonexistent/gallery.bin").ok());
-}
-
-TEST(GalleryIoTest, RejectsTruncatedFile) {
-  ExperimentConfig config;
-  config.canvas_size = 48;
-  config.nyu_fraction = 0.005;
-  ExperimentContext context(config);
-  const std::string path = testing::TempDir() + "/snor_trunc_gallery.bin";
-  ASSERT_TRUE(SaveFeatures(context.Sns1Features(), path).ok());
-  // Truncate the file to half.
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size() / 2));
-  }
-  EXPECT_FALSE(LoadFeatures(path).ok());
-}
-
-/// A gallery file declaring `count` entries, then `entry_bytes`.
-std::string GalleryFile(std::uint32_t count, const std::string& entry_bytes) {
-  std::string file("SNORG001", 8);
-  hostile::Put(&file, count);
-  return file + entry_bytes;
-}
-
-/// One entry up to its bin count, then 64 bytes of a truncated histogram.
-std::string EntryWithBins(std::int32_t bins_per_channel) {
-  std::string e;
-  hostile::Put(&e, std::int32_t{0});  // Label.
-  hostile::Put(&e, std::int32_t{0});  // Model id.
-  hostile::Put(&e, std::uint8_t{1});  // Valid.
-  for (int i = 0; i < 7; ++i) hostile::Put(&e, 0.0);
-  hostile::Put(&e, bins_per_channel);
-  return e + std::string(64, '\0');
-}
-
-[[noreturn]] void LoadGalleryAndExit(const std::string& path,
-                                     const std::string& expected) {
-  if (!hostile::CapAddressSpace()) std::_Exit(2);
-  const auto loaded = LoadFeatures(path);
-  const Status& status = loaded.status();
-  std::fprintf(stderr, "%s\n", status.ToString().c_str());
-  std::_Exit(status.code() == StatusCode::kIoError &&
-                     status.message().find(expected) != std::string::npos
-                 ? 0
-                 : 1);
-}
-
-TEST(GalleryIoTest, HostileCountsAreRejectedBeforeAllocating) {
-  if (SNOR_HOSTILE_INPUT_UNSUPPORTED) {
-    GTEST_SKIP() << "address-space cap is unavailable under sanitizers";
-  }
-  const struct {
-    const char* name;
-    std::string bytes;
-    const char* expected;
-  } cases[] = {
-      {"10M entries in a 12-byte file", GalleryFile(10'000'000u, ""),
-       "entries"},
-      {"256 bins per channel, 64 histogram bytes",
-       GalleryFile(1, EntryWithBins(256)), "histogram"},
-  };
-  const std::string path = testing::TempDir() + "/snor_gallery_hostile.bin";
-  for (const auto& c : cases) {
-    hostile::WriteFile(path, c.bytes);
-    EXPECT_EXIT(LoadGalleryAndExit(path, c.expected),
-                ::testing::ExitedWithCode(0), "")
-        << c.name;
-  }
-}
-
-TEST(GalleryIoTest, ConcurrentSavesToOnePathNeverTearTheFile) {
-  ExperimentConfig config;
-  config.canvas_size = 48;
-  config.nyu_fraction = 0.005;
-  ExperimentContext context(config);
-  const std::vector<ImageFeatures> galleries[2] = {
-      context.Sns1Features(),
-      std::vector<ImageFeatures>(context.Sns1Features().begin(),
-                                 context.Sns1Features().begin() + 5)};
-  auto same = [](const std::vector<ImageFeatures>& got,
-                 const std::vector<ImageFeatures>& want) {
-    if (got.size() != want.size()) return false;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      if (got[i].model_id != want[i].model_id || got[i].hu != want[i].hu ||
-          got[i].histogram.bins() != want[i].histogram.bins()) {
-        return false;
-      }
-    }
-    return true;
-  };
-  const std::string path = testing::TempDir() + "/snor_gallery_race.bin";
-  std::remove(path.c_str());
-  std::atomic<bool> reading{false};
-  std::atomic<int> writers_done{0};
-  std::atomic<int> failed_saves{0};
-  auto writer = [&](int w) {
-    while (!reading.load()) std::this_thread::yield();
-    for (int i = 0; i < 20; ++i) {
-      if (!SaveFeatures(galleries[w], path).ok()) ++failed_saves;
-    }
-    ++writers_done;
-  };
-  std::thread t0(writer, 0);
-  std::thread t1(writer, 1);
-  reading = true;
-  int loads = 0;
-  int bad_loads = 0;
-  // Load until both writers are done, and once more after that.
-  for (bool more = true; more;) {
-    more = writers_done.load() < 2;
-    auto loaded = LoadFeatures(path);
-    // Before the first save lands there is no file to open.
-    if (loads == 0 && !loaded.ok() &&
-        loaded.status().message().find("cannot open") != std::string::npos) {
-      continue;
-    }
-    ++loads;
-    if (!loaded.ok() ||
-        !(same(*loaded, galleries[0]) || same(*loaded, galleries[1]))) {
-      ++bad_loads;
-    }
-  }
-  t0.join();
-  t1.join();
-  EXPECT_EQ(failed_saves.load(), 0);
-  EXPECT_GT(loads, 0);
-  EXPECT_EQ(bad_loads, 0) << "of " << loads << " loads";
-  auto last = LoadFeatures(path);
-  ASSERT_TRUE(last.ok()) << last.status().ToString();
-  EXPECT_TRUE(same(*last, galleries[0]) || same(*last, galleries[1]));
 }
 
 TEST(ParallelForTest, CoversAllIndicesOnce) {

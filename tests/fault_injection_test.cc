@@ -4,6 +4,7 @@
 // EvalReport error-ledger entry, or a recorded modality degradation.
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -14,8 +15,8 @@
 #include "core/classifiers.h"
 #include "core/experiment.h"
 #include "core/feature_cache.h"
-#include "core/gallery_io.h"
 #include "img/io_ppm.h"
+#include "serve/feature_store.h"
 #include "util/fault.h"
 #include "util/retry.h"
 
@@ -46,6 +47,10 @@ class FaultInjectionTest : public ::testing::Test {
       return config;
     }());
     return ctx;
+  }
+
+  static std::uint64_t GalleryFingerprint() {
+    return serve::OptionsFingerprint(SmallContext().FeatureOptionsFor(true));
   }
 };
 
@@ -147,21 +152,25 @@ TEST_F(FaultInjectionTest, CorruptPixelFaultIsSilentButDeterministic) {
   EXPECT_EQ(features.size(), 1u);
 }
 
-// --- Gallery IO -----------------------------------------------------------
+// --- Gallery IO (feature store) ------------------------------------------
 
 TEST_F(FaultInjectionTest, GalleryRoundTripSurvivesFaultFreeRun) {
-  const std::string path = testing::TempDir() + "/snor_fault_gallery.bin";
+  const std::string path = testing::TempDir() + "/snor_fault_gallery.fst";
   auto& ctx = SmallContext();
-  ASSERT_TRUE(SaveFeatures(ctx.Sns1Features(), path).ok());
-  const auto loaded = LoadFeatures(path);
+  ASSERT_TRUE(serve::SaveFeatureBank(path, GalleryFingerprint(),
+                                     ctx.Sns1Features())
+                  .ok());
+  const auto loaded = serve::LoadFeatureBank(path, GalleryFingerprint());
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->size(), ctx.Sns1Features().size());
 }
 
 TEST_F(FaultInjectionTest, TruncatedGalleryFileIsIoError) {
-  const std::string path = testing::TempDir() + "/snor_fault_gal_trunc.bin";
+  const std::string path = testing::TempDir() + "/snor_fault_gal_trunc.fst";
   auto& ctx = SmallContext();
-  ASSERT_TRUE(SaveFeatures(ctx.Sns1Features(), path).ok());
+  ASSERT_TRUE(serve::SaveFeatureBank(path, GalleryFingerprint(),
+                                     ctx.Sns1Features())
+                  .ok());
   {
     std::ifstream in(path, std::ios::binary);
     std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -170,31 +179,38 @@ TEST_F(FaultInjectionTest, TruncatedGalleryFileIsIoError) {
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size() / 2));
   }
-  const auto result = LoadFeatures(path);
+  const auto result = serve::LoadFeatureBank(path, GalleryFingerprint());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(FaultInjectionTest, MalformedGalleryBytesAreIoErrorNotCrash) {
-  const std::string path = testing::TempDir() + "/snor_fault_gal_junk.bin";
+  const std::string path = testing::TempDir() + "/snor_fault_gal_junk.fst";
   {
+    // Right magic, version and fingerprint, garbage after them.
     std::ofstream f(path, std::ios::binary);
-    f << "SNORG001";  // Right magic, garbage after it.
-    const std::uint32_t count = 1000;
+    f << "SNORFST1";
+    const std::uint32_t version = serve::kFeatureStoreVersion;
+    const std::uint64_t fingerprint = GalleryFingerprint();
+    const std::uint32_t count = 1;
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    f.write(reinterpret_cast<const char*>(&fingerprint), sizeof(fingerprint));
     f.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    f << "garbage-that-is-not-a-gallery-entry";
+    f << "garbage-that-is-not-a-gallery-entry-nor-its-checksum-and-then-some";
   }
-  const auto result = LoadFeatures(path);
+  const auto result = serve::LoadFeatureBank(path, GalleryFingerprint());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(FaultInjectionTest, InjectedGalleryTruncationIsIoError) {
-  const std::string path = testing::TempDir() + "/snor_fault_gal_inj.bin";
+  const std::string path = testing::TempDir() + "/snor_fault_gal_inj.fst";
   auto& ctx = SmallContext();
-  ASSERT_TRUE(SaveFeatures(ctx.Sns1Features(), path).ok());
+  ASSERT_TRUE(serve::SaveFeatureBank(path, GalleryFingerprint(),
+                                     ctx.Sns1Features())
+                  .ok());
   ScopedFault guard(FaultPoint::kTruncatedFile, 1.0, 31);
-  const auto result = LoadFeatures(path);
+  const auto result = serve::LoadFeatureBank(path, GalleryFingerprint());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   EXPECT_NE(result.status().message().find("injected"), std::string::npos);

@@ -1,13 +1,15 @@
 // Final coverage batch: error paths and cross-module integrations not
 // exercised elsewhere.
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/classifiers.h"
 #include "core/experiment.h"
-#include "core/gallery_io.h"
 #include "knowledge/semantic_map.h"
 #include "nn/model.h"
+#include "serve/feature_store.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -32,11 +34,12 @@ TEST(ErrorPathTest, ModelSaveToUnwritablePath) {
 
 TEST(ErrorPathTest, GallerySaveToUnwritablePath) {
   std::vector<ImageFeatures> features(1);
-  EXPECT_FALSE(SaveFeatures(features, "/nonexistent_dir/g.bin").ok());
+  EXPECT_FALSE(
+      serve::SaveFeatureBank("/nonexistent_dir/g.fst", 0, features).ok());
 }
 
 TEST(ErrorPathTest, LoadWrongMagicKind) {
-  // A model-weights file is not a gallery file and vice versa.
+  // A model-weights file is not a feature-store file.
   XCorrModelConfig config;
   config.input_height = 16;
   config.input_width = 16;
@@ -49,7 +52,9 @@ TEST(ErrorPathTest, LoadWrongMagicKind) {
   XCorrModel model(config);
   const std::string path = testing::TempDir() + "/snor_weights_as_g.bin";
   ASSERT_TRUE(model.Save(path).ok());
-  EXPECT_FALSE(LoadFeatures(path).ok());
+  const auto loaded = serve::LoadFeatureBank(path, 0);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
 TEST(RngForkTest, ForkIsDeterministic) {
@@ -107,10 +112,13 @@ TEST(IntegrationTest, SavedGalleryRoundTripsThroughAllClassifiers) {
   config.canvas_size = 48;
   config.nyu_fraction = 0.005;
   ExperimentContext context(config);
-  const std::string path = testing::TempDir() + "/snor_full_gallery.bin";
-  ASSERT_TRUE(SaveFeatures(context.Sns1Features(), path).ok());
-  auto loaded = LoadFeatures(path);
-  ASSERT_TRUE(loaded.ok());
+  const std::string path = testing::TempDir() + "/snor_full_gallery.fst";
+  const std::uint64_t fp =
+      serve::OptionsFingerprint(context.FeatureOptionsFor(true));
+  ASSERT_TRUE(
+      serve::SaveFeatureBank(path, fp, context.Sns1Features()).ok());
+  auto loaded = serve::LoadFeatureBank(path, fp);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   // Every matching classifier family accepts the loaded gallery.
   ShapeOnlyClassifier shape(*loaded, ShapeMatchMethod::kI1);

@@ -1,7 +1,11 @@
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "hostile_input.h"
 #include "img/draw.h"
 #include "img/io_ppm.h"
 #include "img/pyramid.h"
@@ -217,6 +221,46 @@ TEST(PnmIoTest, TruncatedPayloadIsError) {
   }
   auto result = ReadPnm(path);
   ASSERT_FALSE(result.ok());
+}
+
+TEST(PnmIoTest, OverflowingHeaderIntegerIsIoError) {
+  // 4294967297 = 2^32 + 1 would narrow to a width of 1 and load.
+  const std::string path = testing::TempDir() + "/snor_overflow.pgm";
+  hostile::WriteFile(path, std::string("P5\n4294967297 1\n255\n") + '\x07');
+  auto result = ReadPnm(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError);
+}
+
+[[noreturn]] void ReadPnmAndExit(const std::string& path) {
+  if (!hostile::CapAddressSpace()) std::_Exit(2);
+  const auto result = ReadPnm(path);
+  const Status& status = result.status();
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  std::_Exit(status.code() == StatusCode::kIoError &&
+                     status.message().find("truncated") != std::string::npos
+                 ? 0
+                 : 1);
+}
+
+TEST(PnmIoTest, HostileDimensionsAreRejectedBeforeAllocating) {
+  if (SNOR_HOSTILE_INPUT_UNSUPPORTED) {
+    GTEST_SKIP() << "address-space cap is unavailable under sanitizers";
+  }
+  const struct {
+    const char* name;
+    const char* header;
+  } cases[] = {
+      {"30 GB RGB raster in a 20-byte file", "P6\n100000 100000\n255\n"},
+      {"INT_MAX x INT_MAX gray raster",
+       "P5\n2147483647 2147483647\n255\n"},
+  };
+  const std::string path = testing::TempDir() + "/snor_hostile.pnm";
+  for (const auto& c : cases) {
+    hostile::WriteFile(path, c.header);
+    EXPECT_EXIT(ReadPnmAndExit(path), ::testing::ExitedWithCode(0), "")
+        << c.name;
+  }
 }
 
 TEST(PyramidTest, LevelsShrinkByFactor) {

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/classifiers.h"
+#include "core/experiment.h"
 #include "hostile_input.h"
 #include "obs/metrics.h"
 #include "util/fault.h"
@@ -38,26 +40,6 @@ ImageFeatures MakeFeatures(int label_index, int model_id, bool valid,
   return f;
 }
 
-StoredView MakeView(int label_index, int model_id, bool valid,
-                    std::uint64_t seed) {
-  StoredView view;
-  view.features = MakeFeatures(label_index, model_id, valid, seed);
-  Rng rng(seed ^ 0x5eedull);
-  const int n_float = static_cast<int>(rng.UniformInt(0, 3));
-  for (int i = 0; i < n_float; ++i) {
-    FloatDescriptor d(16);
-    for (float& v : d) v = static_cast<float>(rng.UniformDouble());
-    view.float_descriptors.push_back(std::move(d));
-  }
-  const int n_binary = static_cast<int>(rng.UniformInt(0, 3));
-  for (int i = 0; i < n_binary; ++i) {
-    BinaryDescriptor d;
-    for (auto& byte : d) byte = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
-    view.binary_descriptors.push_back(d);
-  }
-  return view;
-}
-
 void ExpectFeaturesEqual(const ImageFeatures& a, const ImageFeatures& b) {
   EXPECT_EQ(a.label, b.label);
   EXPECT_EQ(a.model_id, b.model_id);
@@ -68,32 +50,28 @@ void ExpectFeaturesEqual(const ImageFeatures& a, const ImageFeatures& b) {
 }
 
 TEST(FeatureStoreTest, RoundTripPreservesEveryField) {
-  std::vector<StoredView> views;
+  std::vector<ImageFeatures> bank;
   for (int i = 0; i < 12; ++i) {
     // Every class index, a mix of valid and invalid records.
-    views.push_back(MakeView(i % kNumClasses, i, i % 3 != 0, 1000u + i));
+    bank.push_back(MakeFeatures(i % kNumClasses, i, i % 3 != 0, 1000u + i));
   }
   const std::string path =
       testing::TempDir() + "/snor_store_roundtrip.fst";
   const std::uint64_t fp = 0xabcdef12345678ull;
-  ASSERT_TRUE(SaveFeatureStore(path, fp, views).ok());
+  ASSERT_TRUE(SaveFeatureBank(path, fp, bank).ok());
 
-  auto loaded = LoadFeatureStore(path, fp);
+  auto loaded = LoadFeatureBank(path, fp);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded.value().size(), views.size());
-  for (std::size_t i = 0; i < views.size(); ++i) {
-    ExpectFeaturesEqual(loaded.value()[i].features, views[i].features);
-    EXPECT_EQ(loaded.value()[i].float_descriptors,
-              views[i].float_descriptors);
-    EXPECT_EQ(loaded.value()[i].binary_descriptors,
-              views[i].binary_descriptors);
+  ASSERT_EQ(loaded.value().size(), bank.size());
+  for (std::size_t i = 0; i < bank.size(); ++i) {
+    ExpectFeaturesEqual(loaded.value()[i], bank[i]);
   }
 }
 
 TEST(FeatureStoreTest, EmptyStoreRoundTrips) {
   const std::string path = testing::TempDir() + "/snor_store_empty.fst";
-  ASSERT_TRUE(SaveFeatureStore(path, 7, {}).ok());
-  auto loaded = LoadFeatureStore(path, 7);
+  ASSERT_TRUE(SaveFeatureBank(path, 7, {}).ok());
+  auto loaded = LoadFeatureBank(path, 7);
   ASSERT_TRUE(loaded.ok());
   EXPECT_TRUE(loaded.value().empty());
 }
@@ -114,14 +92,14 @@ TEST(FeatureStoreTest, BankRoundTripPreservesInvalidRecords) {
 
 TEST(FeatureStoreTest, FingerprintMismatchIsInvalidArgument) {
   const std::string path = testing::TempDir() + "/snor_store_fp.fst";
-  ASSERT_TRUE(SaveFeatureStore(path, 1, {MakeView(0, 0, true, 1)}).ok());
-  auto loaded = LoadFeatureStore(path, 2);
+  ASSERT_TRUE(SaveFeatureBank(path, 1, {MakeFeatures(0, 0, true, 1)}).ok());
+  auto loaded = LoadFeatureBank(path, 2);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FeatureStoreTest, MissingFileIsIoError) {
-  auto loaded = LoadFeatureStore("/nonexistent/snor.fst", 0);
+  auto loaded = LoadFeatureBank("/nonexistent/snor.fst", 0);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -132,32 +110,35 @@ TEST(FeatureStoreTest, BadMagicIsIoError) {
     std::ofstream f(path, std::ios::binary);
     f << "NOTASTOREatall----------------";
   }
-  auto loaded = LoadFeatureStore(path, 0);
+  auto loaded = LoadFeatureBank(path, 0);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
 TEST(FeatureStoreTest, VersionMismatchIsIoError) {
   const std::string path = testing::TempDir() + "/snor_store_version.fst";
-  {
-    std::ofstream f(path, std::ios::binary);
-    f.write("SNORFST1", 8);
-    const std::uint32_t version = kFeatureStoreVersion + 1;
-    const std::uint64_t fp = 0;
-    const std::uint32_t count = 0;
-    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
-    f.write(reinterpret_cast<const char*>(&fp), sizeof(fp));
-    f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  // Version 1 records also carried keypoint descriptors; a newer version
+  // is unknown. Both must fail at the version field.
+  for (const std::uint32_t version : {1u, kFeatureStoreVersion + 1}) {
+    {
+      std::ofstream f(path, std::ios::binary);
+      f.write("SNORFST1", 8);
+      const std::uint64_t fp = 0;
+      const std::uint32_t count = 0;
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+      f.write(reinterpret_cast<const char*>(&fp), sizeof(fp));
+      f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    }
+    auto loaded = LoadFeatureBank(path, 0);
+    ASSERT_FALSE(loaded.ok()) << "version " << version;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   }
-  auto loaded = LoadFeatureStore(path, 0);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
 TEST(FeatureStoreTest, PayloadCorruptionIsIoError) {
   const std::string path = testing::TempDir() + "/snor_store_corrupt.fst";
   ASSERT_TRUE(
-      SaveFeatureStore(path, 5, {MakeView(3, 0, true, 77)}).ok());
+      SaveFeatureBank(path, 5, {MakeFeatures(3, 0, true, 77)}).ok());
   // Flip one byte in the middle of the record payload; the per-record
   // checksum must catch it.
   std::string raw;
@@ -170,7 +151,7 @@ TEST(FeatureStoreTest, PayloadCorruptionIsIoError) {
     std::ofstream f(path, std::ios::binary);
     f.write(raw.data(), static_cast<std::streamsize>(raw.size()));
   }
-  auto loaded = LoadFeatureStore(path, 5);
+  auto loaded = LoadFeatureBank(path, 5);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -178,7 +159,7 @@ TEST(FeatureStoreTest, PayloadCorruptionIsIoError) {
 TEST(FeatureStoreTest, TruncatedFileIsIoError) {
   const std::string path = testing::TempDir() + "/snor_store_trunc.fst";
   ASSERT_TRUE(
-      SaveFeatureStore(path, 5, {MakeView(3, 0, true, 77)}).ok());
+      SaveFeatureBank(path, 5, {MakeFeatures(3, 0, true, 77)}).ok());
   std::string raw;
   {
     std::ifstream f(path, std::ios::binary);
@@ -188,7 +169,7 @@ TEST(FeatureStoreTest, TruncatedFileIsIoError) {
     std::ofstream f(path, std::ios::binary);
     f.write(raw.data(), static_cast<std::streamsize>(raw.size() - 9));
   }
-  auto loaded = LoadFeatureStore(path, 5);
+  auto loaded = LoadFeatureBank(path, 5);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -196,7 +177,7 @@ TEST(FeatureStoreTest, TruncatedFileIsIoError) {
 TEST(FeatureStoreTest, OversizedRecordLengthIsRejectedBeforeAllocating) {
   const std::string path = testing::TempDir() + "/snor_store_oversize.fst";
   ASSERT_TRUE(
-      SaveFeatureStore(path, 5, {MakeView(3, 0, true, 77)}).ok());
+      SaveFeatureBank(path, 5, {MakeFeatures(3, 0, true, 77)}).ok());
   std::string raw;
   {
     std::ifstream f(path, std::ios::binary);
@@ -214,7 +195,7 @@ TEST(FeatureStoreTest, OversizedRecordLengthIsRejectedBeforeAllocating) {
     std::ofstream f(path, std::ios::binary);
     f.write(raw.data(), static_cast<std::streamsize>(raw.size()));
   }
-  auto loaded = LoadFeatureStore(path, 5);
+  auto loaded = LoadFeatureBank(path, 5);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
   // The pre-allocation bounds check fired, not the post-read truncation
@@ -228,7 +209,7 @@ TEST(FeatureStoreTest, RecordLengthPastEofUnderIoReadFaultStaysAnError) {
   // fault plumbing must not mask the bounds rejection.
   const std::string path = testing::TempDir() + "/snor_store_oversize2.fst";
   ASSERT_TRUE(
-      SaveFeatureStore(path, 5, {MakeView(4, 1, true, 78)}).ok());
+      SaveFeatureBank(path, 5, {MakeFeatures(4, 1, true, 78)}).ok());
   std::string raw;
   {
     std::ifstream f(path, std::ios::binary);
@@ -243,7 +224,7 @@ TEST(FeatureStoreTest, RecordLengthPastEofUnderIoReadFaultStaysAnError) {
     f.write(raw.data(), static_cast<std::streamsize>(raw.size()));
   }
   ScopedFault io_read(FaultPoint::kIoRead, 0.0, 7);
-  auto loaded = LoadFeatureStore(path, 5);
+  auto loaded = LoadFeatureBank(path, 5);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
@@ -251,19 +232,19 @@ TEST(FeatureStoreTest, RecordLengthPastEofUnderIoReadFaultStaysAnError) {
 TEST(FeatureStoreTest, TruncationFaultPointFiresDeterministically) {
   const std::string path = testing::TempDir() + "/snor_store_fault.fst";
   ASSERT_TRUE(
-      SaveFeatureStore(path, 5, {MakeView(3, 0, true, 77)}).ok());
-  ASSERT_TRUE(LoadFeatureStore(path, 5).ok());
+      SaveFeatureBank(path, 5, {MakeFeatures(3, 0, true, 77)}).ok());
+  ASSERT_TRUE(LoadFeatureBank(path, 5).ok());
   ScopedFault truncated(FaultPoint::kTruncatedFile, 1.0, 7);
-  auto loaded = LoadFeatureStore(path, 5);
+  auto loaded = LoadFeatureBank(path, 5);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
 TEST(FeatureStoreTest, IoReadFaultPointGuardsTheOpen) {
   const std::string path = testing::TempDir() + "/snor_store_ioread.fst";
-  ASSERT_TRUE(SaveFeatureStore(path, 5, {}).ok());
+  ASSERT_TRUE(SaveFeatureBank(path, 5, {}).ok());
   ScopedFault io(FaultPoint::kIoRead, 1.0, 3);
-  auto loaded = LoadFeatureStore(path, 5);
+  auto loaded = LoadFeatureBank(path, 5);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kUnavailable);
 }
@@ -318,6 +299,27 @@ TEST(FeatureStoreTest, LoadOrComputeMissesThenHits) {
   EXPECT_EQ(misses.value() - misses_before, 2u);
 }
 
+TEST(FeatureStoreTest, LoadedGalleryClassifiesIdentically) {
+  ExperimentConfig config;
+  config.canvas_size = 48;
+  config.nyu_fraction = 0.005;
+  ExperimentContext context(config);
+  const std::string path = testing::TempDir() + "/snor_store_cls.fst";
+  const std::uint64_t fp = OptionsFingerprint(context.FeatureOptionsFor(true));
+  ASSERT_TRUE(SaveFeatureBank(path, fp, context.Sns1Features()).ok());
+  auto loaded = LoadFeatureBank(path, fp);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  HybridClassifier original(context.Sns1Features(), ShapeMatchMethod::kI3,
+                            HistCompareMethod::kHellinger, 0.3, 0.7,
+                            HybridStrategy::kWeightedSum);
+  HybridClassifier restored(loaded.MoveValue(), ShapeMatchMethod::kI3,
+                            HistCompareMethod::kHellinger, 0.3, 0.7,
+                            HybridStrategy::kWeightedSum);
+  EXPECT_EQ(original.ClassifyAll(context.Sns2Features()),
+            restored.ClassifyAll(context.Sns2Features()));
+}
+
 // ------------------------------------------------------ hostile counts --
 
 constexpr std::uint64_t kHostileFingerprint = 5;
@@ -342,18 +344,6 @@ std::string PayloadHead(std::int32_t bins_per_channel) {
   return p;
 }
 
-/// A one-bin histogram followed by the descriptor counts.
-std::string PayloadWithDescriptors(std::uint32_t float_count,
-                                   std::uint32_t float_dim,
-                                   std::uint32_t binary_count) {
-  std::string p = PayloadHead(1);
-  hostile::Put(&p, 0.0);
-  hostile::Put(&p, float_count);
-  hostile::Put(&p, float_dim);
-  hostile::Put(&p, binary_count);
-  return p;
-}
-
 /// A store file declaring `count` records, holding one record with
 /// `payload` (and a valid checksum) unless the payload is empty. Padding
 /// keeps every file large enough that the record count alone passes.
@@ -374,7 +364,7 @@ std::string StoreFile(std::uint32_t count, std::string payload) {
 [[noreturn]] void LoadStoreAndExit(const std::string& path,
                                    const std::string& expected) {
   if (!hostile::CapAddressSpace()) std::_Exit(2);
-  const auto loaded = LoadFeatureStore(path, kHostileFingerprint);
+  const auto loaded = LoadFeatureBank(path, kHostileFingerprint);
   const Status& status = loaded.status();
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   std::_Exit(status.code() == StatusCode::kIoError &&
@@ -396,15 +386,6 @@ TEST(FeatureStoreTest, HostileCountsAreRejectedBeforeAllocating) {
        "record(s)"},
       {"256 bins per channel, 64 payload bytes",
        StoreFile(1, PayloadHead(256)), "histogram"},
-      {"10M float descriptors of 4096 floats",
-       StoreFile(1, PayloadWithDescriptors(10'000'000u, 4096, 0)),
-       "float descriptors"},
-      {"10M float descriptors of 0 floats",
-       StoreFile(1, PayloadWithDescriptors(10'000'000u, 0, 0)),
-       "float-descriptor shape"},
-      {"10M binary descriptors",
-       StoreFile(1, PayloadWithDescriptors(0, 0, 10'000'000u)),
-       "binary descriptors"},
   };
   const std::string path = testing::TempDir() + "/snor_store_hostile.fst";
   for (const auto& c : cases) {
@@ -417,28 +398,26 @@ TEST(FeatureStoreTest, HostileCountsAreRejectedBeforeAllocating) {
 
 // ------------------------------------------------------ crash-safe save --
 
-bool SameViews(const std::vector<StoredView>& got,
-               const std::vector<StoredView>& want) {
+bool SameFeatures(const std::vector<ImageFeatures>& got,
+                  const std::vector<ImageFeatures>& want) {
   if (got.size() != want.size()) return false;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    const ImageFeatures& g = got[i].features;
-    const ImageFeatures& w = want[i].features;
+    const ImageFeatures& g = got[i];
+    const ImageFeatures& w = want[i];
     if (g.label != w.label || g.model_id != w.model_id || g.hu != w.hu ||
-        g.histogram.bins() != w.histogram.bins() ||
-        got[i].float_descriptors != want[i].float_descriptors ||
-        got[i].binary_descriptors != want[i].binary_descriptors) {
+        g.histogram.bins() != w.histogram.bins()) {
       return false;
     }
   }
   return true;
 }
 
-std::vector<StoredView> MakeViews(int n, std::uint64_t seed) {
-  std::vector<StoredView> views;
+std::vector<ImageFeatures> MakeBank(int n, std::uint64_t seed) {
+  std::vector<ImageFeatures> bank;
   for (int i = 0; i < n; ++i) {
-    views.push_back(MakeView(i % kNumClasses, i, true, seed + i));
+    bank.push_back(MakeFeatures(i % kNumClasses, i, true, seed + i));
   }
-  return views;
+  return bank;
 }
 
 /// Number of directory entries whose name starts with `prefix`.
@@ -453,15 +432,15 @@ int CountEntries(const std::string& dir, const std::string& prefix) {
 TEST(FeatureStoreTest, ConcurrentSavesToOnePathNeverTearTheFile) {
   const std::string path = testing::TempDir() + "/snor_store_race.fst";
   std::remove(path.c_str());
-  const std::vector<StoredView> galleries[2] = {MakeViews(2, 11),
-                                                MakeViews(6, 20)};
+  const std::vector<ImageFeatures> galleries[2] = {MakeBank(2, 11),
+                                                MakeBank(6, 20)};
   std::atomic<bool> reading{false};
   std::atomic<int> writers_done{0};
   std::atomic<int> failed_saves{0};
   auto writer = [&](int w) {
     while (!reading.load()) std::this_thread::yield();
     for (int i = 0; i < 40; ++i) {
-      if (!SaveFeatureStore(path, 5, galleries[w]).ok()) ++failed_saves;
+      if (!SaveFeatureBank(path, 5, galleries[w]).ok()) ++failed_saves;
     }
     ++writers_done;
   };
@@ -473,15 +452,15 @@ TEST(FeatureStoreTest, ConcurrentSavesToOnePathNeverTearTheFile) {
   // Load until both writers are done, and once more after that.
   for (bool more = true; more;) {
     more = writers_done.load() < 2;
-    auto loaded = LoadFeatureStore(path, 5);
+    auto loaded = LoadFeatureBank(path, 5);
     // Before the first save lands there is no file to open.
     if (loads == 0 && !loaded.ok() &&
         loaded.status().message().find("cannot open") != std::string::npos) {
       continue;
     }
     ++loads;
-    if (!loaded.ok() || !(SameViews(*loaded, galleries[0]) ||
-                          SameViews(*loaded, galleries[1]))) {
+    if (!loaded.ok() || !(SameFeatures(*loaded, galleries[0]) ||
+                          SameFeatures(*loaded, galleries[1]))) {
       ++bad_loads;
     }
   }
@@ -490,25 +469,25 @@ TEST(FeatureStoreTest, ConcurrentSavesToOnePathNeverTearTheFile) {
   EXPECT_EQ(failed_saves.load(), 0);
   EXPECT_GT(loads, 0);
   EXPECT_EQ(bad_loads, 0) << "of " << loads << " loads";
-  auto last = LoadFeatureStore(path, 5);
+  auto last = LoadFeatureBank(path, 5);
   ASSERT_TRUE(last.ok()) << last.status().ToString();
-  EXPECT_TRUE(SameViews(*last, galleries[0]) ||
-              SameViews(*last, galleries[1]));
+  EXPECT_TRUE(SameFeatures(*last, galleries[0]) ||
+              SameFeatures(*last, galleries[1]));
   EXPECT_EQ(CountEntries(testing::TempDir(), "snor_store_race.fst."), 0)
       << "a temporary file was left behind";
 }
 
 /// Saves a gallery too large for the file-size limit over `path`, then
-/// checks that the save failed and `path` still loads as `old_views`.
-[[noreturn]] void SaveOverLimitAndExit(const std::string& path,
-                                       const std::vector<StoredView>& old_views) {
+/// checks that the save failed and `path` still loads as `old_bank`.
+[[noreturn]] void SaveOverLimitAndExit(
+    const std::string& path, const std::vector<ImageFeatures>& old_bank) {
   std::signal(SIGXFSZ, SIG_IGN);  // Over-limit writes fail with EFBIG.
   const rlimit rl{64 * 1024, 64 * 1024};
   if (::setrlimit(RLIMIT_FSIZE, &rl) != 0) std::_Exit(2);
-  const Status saved = SaveFeatureStore(path, 5, MakeViews(30, 40));
-  auto loaded = LoadFeatureStore(path, 5);
+  const Status saved = SaveFeatureBank(path, 5, MakeBank(30, 40));
+  auto loaded = LoadFeatureBank(path, 5);
   const bool kept =
-      !saved.ok() && loaded.ok() && SameViews(*loaded, old_views);
+      !saved.ok() && loaded.ok() && SameFeatures(*loaded, old_bank);
   std::fprintf(stderr, "save: %s, load: %s\n", saved.ToString().c_str(),
                loaded.status().ToString().c_str());
   std::_Exit(kept ? 0 : 1);
@@ -519,9 +498,9 @@ TEST(FeatureStoreTest, FailedSaveKeepsTheOldFile) {
   std::filesystem::remove_all(dir);
   ASSERT_TRUE(std::filesystem::create_directory(dir));
   const std::string path = dir + "/store.fst";
-  const std::vector<StoredView> old_views = MakeViews(1, 31);
-  ASSERT_TRUE(SaveFeatureStore(path, 5, old_views).ok());
-  EXPECT_EXIT(SaveOverLimitAndExit(path, old_views),
+  const std::vector<ImageFeatures> old_bank = MakeBank(1, 31);
+  ASSERT_TRUE(SaveFeatureBank(path, 5, old_bank).ok());
+  EXPECT_EXIT(SaveOverLimitAndExit(path, old_bank),
               ::testing::ExitedWithCode(0), "");
   EXPECT_EQ(CountEntries(dir, ""), 1) << "a temporary file was left behind";
 }

@@ -14,8 +14,6 @@
 #   tools/run_checks.sh --asan       # ...plus ASan+UBSan build and test subset
 #   tools/run_checks.sh --tsan       # ...plus TSan build and concurrency subset
 #   tools/run_checks.sh --clang-tidy # ...plus clang-tidy (no-op if absent)
-#   tools/run_checks.sh --thread-safety  # ...plus a clang -Wthread-safety
-#                                    # compile pass (no-op if clang absent)
 #   tools/run_checks.sh --all        # everything
 set -euo pipefail
 
@@ -24,18 +22,16 @@ cd "$(dirname "$0")/.."
 run_asan=0
 run_tsan=0
 run_tidy=0
-run_tsafety=0
 analyze_clean=0
 for arg in "$@"; do
   case "$arg" in
     --asan) run_asan=1 ;;
     --tsan) run_tsan=1 ;;
     --clang-tidy) run_tidy=1 ;;
-    --thread-safety) run_tsafety=1 ;;
     --analyze-clean) analyze_clean=1 ;;
-    --all) run_asan=1; run_tsan=1; run_tidy=1; run_tsafety=1 ;;
+    --all) run_asan=1; run_tsan=1; run_tidy=1 ;;
     -h|--help)
-      sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
       exit 0 ;;
     *) echo "unknown option: $arg (try --help)" >&2; exit 2 ;;
   esac
@@ -117,23 +113,6 @@ if [[ $run_tsan -eq 1 ]]; then
   cmake --preset tsan
   cmake --build --preset tsan -j
   ctest --preset tsan -j
-fi
-
-if [[ $run_tsafety -eq 1 ]]; then
-  if command -v clang++ >/dev/null 2>&1; then
-    echo "== thread-safety: clang -Wthread-safety compile pass =="
-    # A compile-only pass with clang's static thread-safety analysis.
-    # The SNOR_* capability macros (src/util/thread_annotations.h)
-    # activate under clang, so annotated code gets real attribute
-    # checking on machines that have it; snor_analyze remains the
-    # portable gate.
-    cmake -B build-threadsafety -S . \
-      -DCMAKE_CXX_COMPILER=clang++ \
-      -DCMAKE_CXX_FLAGS="-Wthread-safety -Werror=thread-safety-analysis"
-    cmake --build build-threadsafety -j
-  else
-    echo "== thread-safety: clang++ not installed, skipping =="
-  fi
 fi
 
 if [[ $run_tidy -eq 1 ]]; then
