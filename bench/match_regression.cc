@@ -16,6 +16,10 @@
 //      never regress below the path they replaced), and the ANN path
 //      must be at least `min_ann_speedup` times faster than exact.
 //
+// The hybrid exact and ANN `match_s` and recall@1 on the sparse gallery
+// are reported too (`sparse_*` keys), as telemetry only: the bands above
+// are measured on the dense gallery.
+//
 // The bands live in a checked-in baseline file (`--baseline PATH`, one
 // `key value` pair per line, `#` comments) so tightening the gate is a
 // reviewed change, not a code edit. Wall-clock bands are relative
@@ -102,6 +106,18 @@ std::vector<const ImageFeatures*> Pointers(
   out.reserve(features.size());
   for (const ImageFeatures& f : features) out.push_back(&f);
   return out;
+}
+
+/// Share of `ann` labels equal to the `exact` labels (recall@1).
+double Agreement(const std::vector<ObjectClass>& ann,
+                 const std::vector<ObjectClass>& exact) {
+  std::size_t agree = 0;
+  for (std::size_t i = 0; i < ann.size(); ++i) {
+    if (ann[i] == exact[i]) ++agree;
+  }
+  return ann.empty() ? 0.0
+                     : static_cast<double>(agree) /
+                           static_cast<double>(ann.size());
 }
 
 int Fail(const char* what) {
@@ -198,17 +214,8 @@ int Run(const std::string& baseline_path) {
     return Fail("hybrid engine construction failed");
   }
 
-  const std::vector<ObjectClass> exact_labels =
-      exact.value()->ClassifyBatch(batch);
-  const std::vector<ObjectClass> ann_labels = ann.value()->ClassifyBatch(batch);
-  std::size_t agree = 0;
-  for (std::size_t i = 0; i < ann_labels.size(); ++i) {
-    if (ann_labels[i] == exact_labels[i]) ++agree;
-  }
-  const double ann_recall_at_1 =
-      ann_labels.empty() ? 0.0
-                         : static_cast<double>(agree) /
-                               static_cast<double>(ann_labels.size());
+  const double ann_recall_at_1 = Agreement(ann.value()->ClassifyBatch(batch),
+                                           exact.value()->ClassifyBatch(batch));
 
   const double cold_s = BestMatchSeconds(
       [&] { (void)cold.value()->ClassifyAll(queries); }, query_count, reps);
@@ -224,6 +231,33 @@ int Run(const std::string& baseline_path) {
               cold_s, exact_s, exact_vs_cold, ann_s, ann_speedup,
               ann_recall_at_1);
 
+  // ---- Telemetry: the same exact-vs-ANN comparison on rendered-occupancy
+  // histograms, where the ANN path's colour retrieval reads sparse rows.
+  auto sparse_exact =
+      BatchEngine::Create(spec, sparse_gallery, exact_options, seed);
+  auto sparse_ann =
+      BatchEngine::Create(spec, sparse_gallery, ann_options, seed);
+  if (!sparse_exact.ok() || !sparse_ann.ok()) {
+    return Fail("sparse hybrid engine construction failed");
+  }
+  const std::vector<const ImageFeatures*> sparse_batch =
+      Pointers(sparse_queries);
+  const double sparse_ann_recall_at_1 =
+      Agreement(sparse_ann.value()->ClassifyBatch(sparse_batch),
+                sparse_exact.value()->ClassifyBatch(sparse_batch));
+  const double sparse_exact_s = BestMatchSeconds(
+      [&] { (void)sparse_exact.value()->ClassifyBatch(sparse_batch); },
+      query_count, reps);
+  const double sparse_ann_s = BestMatchSeconds(
+      [&] { (void)sparse_ann.value()->ClassifyBatch(sparse_batch); },
+      query_count, reps);
+  const double sparse_ann_speedup =
+      sparse_ann_s > 0.0 ? sparse_exact_s / sparse_ann_s : 0.0;
+  std::printf("sparse match_s (telemetry): exact %.3gs | ann %.3gs (%.2fx "
+              "speedup) | recall@1 %.4f\n",
+              sparse_exact_s, sparse_ann_s, sparse_ann_speedup,
+              sparse_ann_recall_at_1);
+
   snor::bench::BenchResults telemetry;
   telemetry.emplace_back("identity_approaches",
                          static_cast<double>(identity_checked));
@@ -235,6 +269,10 @@ int Run(const std::string& baseline_path) {
   telemetry.emplace_back("ann_match_s", ann_s);
   telemetry.emplace_back("ann_speedup", ann_speedup);
   telemetry.emplace_back("ann_recall_at_1", ann_recall_at_1);
+  telemetry.emplace_back("sparse_exact_match_s", sparse_exact_s);
+  telemetry.emplace_back("sparse_ann_match_s", sparse_ann_s);
+  telemetry.emplace_back("sparse_ann_speedup", sparse_ann_speedup);
+  telemetry.emplace_back("sparse_ann_recall_at_1", sparse_ann_recall_at_1);
   telemetry.emplace_back("max_exact_vs_cold_ratio",
                          bands.max_exact_vs_cold_ratio);
   telemetry.emplace_back("min_ann_speedup", bands.min_ann_speedup);

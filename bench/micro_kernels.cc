@@ -227,24 +227,39 @@ BENCHMARK(BM_BankColorArgbest)
     ->Args({1024, 24})
     ->Args({4096, 24});
 
+// Args: gallery views, occupied bins per histogram (0 = all 512). Colour
+// retrieval reads each row's nonzero bins, so the two occupancies time its
+// full-row loop and its sparse-row loop.
 void BM_AnnCandidateRerank(benchmark::State& state) {
+  const auto occupied = static_cast<std::size_t>(state.range(1));
   const auto gallery = RandomGallery(
-      static_cast<std::size_t>(state.range(0)), 11);
-  const auto queries = RandomGallery(16, 12);
+      static_cast<std::size_t>(state.range(0)), 11, occupied);
+  const auto queries = RandomGallery(16, 12, occupied);
   const FeatureBank bank = PackFeatureBank(gallery);
   GalleryIndexOptions opts;
   opts.candidates = 48;
   const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
+  std::vector<double> shape_scores(bank.size(), kUnusableScore);
+  std::vector<double> color_scores(bank.size(), kUnusableScore);
   for (auto _ : state) {
     for (const ImageFeatures& q : queries) {
-      const std::vector<int> cands = index.Candidates(q, true, false);
-      benchmark::DoNotOptimize(BankShapeArgminOverCandidates(
-          q, bank, cands, ShapeMatchMethod::kI3));
+      const std::vector<int> cands = index.Candidates(q, true, true);
+      std::size_t shape_usable = 0;
+      std::size_t color_usable = 0;
+      BankHybridScoresOverCandidates(
+          q, bank, cands, ShapeMatchMethod::kI3, HistCompareMethod::kHellinger,
+          true, true, &shape_scores, &color_scores, &shape_usable,
+          &color_usable);
+      benchmark::DoNotOptimize(shape_usable + color_usable);
     }
   }
   SetMatchSeconds(state, queries.size());
 }
-BENCHMARK(BM_AnnCandidateRerank)->Arg(1024)->Arg(4096);
+BENCHMARK(BM_AnnCandidateRerank)
+    ->Args({1024, 0})
+    ->Args({4096, 0})
+    ->Args({1024, 24})
+    ->Args({4096, 24});
 
 void BM_Conv2DForward(benchmark::State& state) {
   Rng rng(3);

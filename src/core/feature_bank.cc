@@ -349,75 +349,14 @@ ObjectClass BankHybridArgminLabel(const std::vector<double>& theta,
   return fallback;
 }
 
-FloatDescriptorBank PackFloatDescriptors(
-    const std::vector<FloatDescriptor>& descriptors) {
-  FloatDescriptorBank bank;
-  bank.count = descriptors.size();
-  if (descriptors.empty()) return bank;
-  bank.dim = descriptors.front().size();
-  bank.stride = PadStride(bank.dim, sizeof(float));
-  bank.data.assign(bank.count * bank.stride, 0.0f);
-  for (std::size_t i = 0; i < bank.count; ++i) {
-    SNOR_CHECK_EQ(descriptors[i].size(), bank.dim);
-    std::memcpy(bank.data.data() + i * bank.stride, descriptors[i].data(),
-                bank.dim * sizeof(float));
-  }
-  return bank;
-}
-
-void BankFloatSquaredL2(const FloatDescriptorBank& bank,
-                        const FloatDescriptor& query, float* out) {
-  SNOR_CHECK_EQ(query.size(), bank.dim);
-  constexpr std::size_t kLanes = 8;
-  const float* q = query.data();
-  const std::size_t n = bank.dim;
-  for (std::size_t r = 0; r < bank.count; ++r) {
-    const float* row = bank.Row(r);
-    // Eight independent accumulator lanes break the serial dependence
-    // chain so the reduction vectorizes without -ffast-math.
-    float lanes[kLanes] = {};
-    std::size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        const float d = q[i + l] - row[i + l];
-        lanes[l] += d * d;
-      }
-    }
-    float tail = 0.0f;
-    for (; i < n; ++i) {
-      const float d = q[i] - row[i];
-      tail += d * d;
-    }
-    out[r] = ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5])) +
-             ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7])) + tail;
-  }
-}
-
-FloatDescriptor GalleryViewIndex::ColorEmbedding(const double* bins,
-                                                 const int bins_per_channel) {
-  const auto b = static_cast<std::size_t>(bins_per_channel);
-  const std::size_t n = b * b * b;
-  // Full joint histogram in sqrt space: ||sqrt(a) - sqrt(b)||_2 =
-  // sqrt(2) * Hellinger(a, b), so Euclidean ranks over this embedding
-  // equal exact Hellinger ranks (up to float rounding). Precomputing the
-  // sqrt once per view is what makes retrieval cheap: a tree visit costs
-  // multiply-adds where the exact kernel pays a sqrt per bin per pair.
-  FloatDescriptor e(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    e[i] = std::sqrt(static_cast<float>(std::max(bins[i], 0.0)));
-  }
-  return e;
-}
-
 GalleryViewIndex GalleryViewIndex::Build(const FeatureBank& bank,
                                          const GalleryIndexOptions& options) {
   SNOR_TRACE_SPAN("core.bank.index_build");
   GalleryViewIndex index;
   index.options_ = options;
   index.bank_ = &bank;
+  index.nz_sqrt_.assign(bank.nz_values.size(), 0.0f);
 
-  std::vector<FloatDescriptor> color_points;
-  std::vector<int> color_ids;
   for (std::size_t i = 0; i < bank.num_views; ++i) {
     if (!bank.IsValid(i)) continue;
     const double* hu = bank.HuRow(i);
@@ -426,20 +365,17 @@ GalleryViewIndex GalleryViewIndex::Build(const FeatureBank& bank,
     }
     // A finite positive row sum rules out NaN and infinite bins; only
     // nonzero bins can be negative.
-    const double* nz_begin = bank.nz_values.data() + bank.nz_offsets[i];
-    const double* nz_end = bank.nz_values.data() + bank.nz_offsets[i + 1];
+    const std::size_t begin = bank.nz_offsets[i];
+    const std::size_t end = bank.nz_offsets[i + 1];
+    const double* nz = bank.nz_values.data();
     const double mass = bank.hist_sums[i];
     if (std::isfinite(mass) && mass > 0.0 &&
-        std::none_of(nz_begin, nz_end, [](double v) { return v < 0.0; })) {
-      const double* row = bank.HistRow(i);
-      color_points.push_back(ColorEmbedding(row, bank.bins_per_channel));
-      color_ids.push_back(static_cast<int>(i));
+        std::none_of(nz + begin, nz + end, [](double v) { return v < 0.0; })) {
+      for (std::size_t k = begin; k < end; ++k) {
+        index.nz_sqrt_[k] = std::sqrt(static_cast<float>(nz[k] / mass));
+      }
+      index.color_ids_.push_back(static_cast<int>(i));
     }
-  }
-
-  if (!color_points.empty()) {
-    index.color_bank_ = PackFloatDescriptors(color_points);
-    index.color_ids_ = std::move(color_ids);
   }
   return index;
 }
@@ -465,6 +401,37 @@ std::vector<int> TopRIds(std::vector<std::pair<Score, int>>* scored,
   return ids;
 }
 
+/// sum_k a[k] * b[k] accumulated in float across eight independent lanes,
+/// which break the serial dependence chain so the reduction vectorizes
+/// without -ffast-math. Kept out of line: inlined into the retrieval
+/// loop, GCC 12 vectorizes it with in-order scalar lane sums instead and
+/// the full-row scan runs about twice as slow.
+[[gnu::noinline]] float ContiguousDot(const float* a, const float* b,
+                                      std::size_t n) {
+  constexpr std::size_t kLanes = 8;
+  float lanes[kLanes] = {};
+  std::size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) lanes[l] += a[k + l] * b[k + l];
+  }
+  float tail = 0.0f;
+  for (; k < n; ++k) tail += a[k] * b[k];
+  return ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5])) +
+         ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7])) + tail;
+}
+
+/// sum_k sqrt_q[bins[k]] * row_sqrt[k] over one row's `nnz` nonzero
+/// entries, accumulated in float. A row that occupies all `num_bins` bins
+/// lists bin k as entry k, so it needs no gather.
+float RowSqrtDot(const float* sqrt_q, std::size_t num_bins,
+                 const std::uint32_t* bins, const float* row_sqrt,
+                 std::size_t nnz) {
+  if (nnz == num_bins) return ContiguousDot(sqrt_q, row_sqrt, nnz);
+  float dot = 0.0f;
+  for (std::size_t k = 0; k < nnz; ++k) dot += sqrt_q[bins[k]] * row_sqrt[k];
+  return dot;
+}
+
 }  // namespace
 
 std::vector<int> GalleryViewIndex::Candidates(const ImageFeatures& query,
@@ -487,21 +454,30 @@ std::vector<int> GalleryViewIndex::Candidates(const ImageFeatures& query,
     shape_cands = TopRIds(&scored, options_.candidates);
   }
   std::vector<int> color_cands;
-  if (use_color && color_bank_.count > 0) {
-    const FloatDescriptor q_emb =
-        ColorEmbedding(query.histogram.bins().data(),
-                       query.histogram.bins_per_channel());
-    if (q_emb.size() == color_bank_.dim) {
-      // Squared L2 ranks identically to L2 and the lane-parallel kernel
-      // runs at SIMD throughput; scores are discarded after top-R.
-      std::vector<float> dists(color_bank_.count);
-      BankFloatSquaredL2(color_bank_, q_emb, dists.data());
+  const std::size_t num_bins = query.histogram.num_bins();
+  if (use_color && !color_ids_.empty() && num_bins == bank_->hist_bins) {
+    // sqrt(q), negative bins clamped to zero. std::max keeps a NaN bin,
+    // and a NaN or infinite sqrt(q) disqualifies the whole query: the
+    // sparse dot would skip it wherever no row occupies its bin.
+    const double* q = query.histogram.bins().data();
+    std::vector<float> sqrt_q(num_bins);
+    bool finite = true;
+    for (std::size_t k = 0; k < num_bins; ++k) {
+      sqrt_q[k] = std::sqrt(static_cast<float>(std::max(q[k], 0.0)));
+      finite = finite && std::isfinite(sqrt_q[k]);
+    }
+    if (finite) {
+      // Higher coefficient = closer view, so rank by its negation.
       std::vector<std::pair<float, int>> scored;
-      scored.reserve(color_bank_.count);
-      for (std::size_t i = 0; i < color_bank_.count; ++i) {
-        if (std::isfinite(dists[i])) {
-          scored.emplace_back(dists[i], color_ids_[i]);
-        }
+      scored.reserve(color_ids_.size());
+      for (const int id : color_ids_) {
+        const auto row = static_cast<std::size_t>(id);
+        const std::size_t begin = bank_->nz_offsets[row];
+        const std::size_t nnz = bank_->nz_offsets[row + 1] - begin;
+        scored.emplace_back(
+            -RowSqrtDot(sqrt_q.data(), num_bins, bank_->nz_bins.data() + begin,
+                        nz_sqrt_.data() + begin, nnz),
+            id);
       }
       color_cands = TopRIds(&scored, options_.candidates);
     }

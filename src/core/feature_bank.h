@@ -9,11 +9,13 @@
 /// moments, L1-normalized color histograms, labels, validity) into flat,
 /// padded, 64-byte-stride arrays so the per-view inner loops stream
 /// contiguous memory instead of chasing a pointer into every view's
-/// separately allocated histogram; a float descriptor bank does the same
-/// for the ANN index's colour embeddings. These kernels are the only
-/// gallery scan of the paper's matching approaches: the cold classifiers
-/// run them over the whole bank on the caller's thread, the sharded
-/// BatchEngine over shard ranges and ANN candidate lists on its workers.
+/// separately allocated histogram. Next to the dense rows it keeps each
+/// histogram row's nonzero bins, the one sparse representation both the
+/// exact Hellinger kernels and the ANN index's colour retrieval read.
+/// These kernels are the only gallery scan of the paper's matching
+/// approaches: the cold classifiers run them over the whole bank on the
+/// caller's thread, the sharded BatchEngine over shard ranges and ANN
+/// candidate lists on its workers.
 ///
 /// Kernel contract — bit identity. Every bank kernel computes each
 /// per-pair score with the same arithmetic as the per-pair functions
@@ -41,7 +43,6 @@
 
 #include "core/classifiers.h"
 #include "core/feature_cache.h"
-#include "features/keypoint.h"
 #include "geometry/moments.h"
 
 namespace snor {
@@ -163,38 +164,6 @@ void BankHybridScoresOverCandidates(
     const std::vector<double>& theta, const FeatureBank& bank,
     HybridStrategy strategy, ObjectClass fallback);
 
-/// \brief Flat bank of equal-length float descriptors (one row per
-/// descriptor, stride padded to 16 floats / 64 bytes).
-/// Row() pointers die with `data`, as FeatureBank rows do.
-struct FloatDescriptorBank {
-  std::size_t count = 0;
-  std::size_t dim = 0;
-  std::size_t stride = 0;
-  std::vector<float> data;
-
-  const float* Row(std::size_t i) const {
-    return data.data() + i * stride;
-  }
-};
-
-/// All descriptors must share one dimension.
-[[nodiscard]] FloatDescriptorBank PackFloatDescriptors(
-    const std::vector<FloatDescriptor>& descriptors);
-
-/// out[i] = squared L2 distance from query to descriptor i, accumulated in
-/// float across independent lanes. Retrieval-only: the reassociated float
-/// sum is NOT bit-identical to FloatDistanceRaw's serial double
-/// accumulation, but squared L2 is strictly monotone in L2, so top-R sets
-/// agree up to rounding ties. FloatDistanceRaw's serial dependence chain
-/// caps the full-bank scan at scalar add latency; the independent lanes
-/// here let it run at SIMD multiply-add throughput instead, which is what
-/// makes the flat-scan retrieval in GalleryViewIndex beat the exact
-/// kernels. Candidate *scores* are discarded — exact rerank re-scores with
-/// the bit-identical kernels — so retrieval arithmetic never leaks into
-/// results.
-void BankFloatSquaredL2(const FloatDescriptorBank& bank,
-                        const FloatDescriptor& query, float* out);
-
 /// Options for the gallery-level ANN view index.
 struct GalleryIndexOptions {
   /// Top-R candidates requested per modality before exact rerank.
@@ -213,23 +182,26 @@ struct GalleryIndexOptions {
 ///    more faithful than any Euclidean proxy of the non-metric shape
 ///    distances (I1-I3 are relative or Chebyshev-like; no k-d embedding
 ///    ranks them reliably);
-///  - color: top-R in the full sqrt-space histogram embedding
-///    e_i = sqrt(bin_i). Hellinger distance is exactly (1/sqrt(2)) * L2
-///    in sqrt space, so embedding ranks equal exact Hellinger ranks (up
-///    to float rounding) while each embedding distance costs plain
-///    multiply-adds instead of the exact kernel's per-pair sqrt. The
-///    embeddings live in a flat SoA FloatDescriptorBank scanned by the
-///    vectorized batch kernel — measured faster than any k-d traversal
-///    at histogram dimensionality, where bounded-leaf-check trees also
-///    collapse to near-random candidates.
+///  - color: top-R by the Bhattacharyya coefficient, which orders views
+///    exactly as the exact Hellinger distance does. Over a view v it is
+///    sum_k sqrt(q[k] * v[k]) / sqrt(sum q * sum v), and sum q is fixed
+///    per query, so the index ranks by sum_k sqrt(q[k]) * sqrt(v[k] /
+///    sum v) over the row's nonzero bins only. It keeps one float
+///    sqrt(v[k] / sum v) per entry of the bank's nonzero-bin lists, and no
+///    dense copy of any histogram. For L1-normalized rows this is the
+///    sqrt-space L2 rank, since |sqrt(q) - sqrt(v)|^2 = sum q + sum v -
+///    2 * sum sqrt(q) * sqrt(v). A row that occupies every bin is scanned
+///    as one contiguous float loop; any other row gathers the query's
+///    sqrt at its nonzero bins. Retrieval sums in float, so only ranks
+///    within float rounding of each other may differ from exact ranks.
 ///
 /// The index only *proposes* candidate view indices; callers rerank them
 /// with the exact bank kernels, so `--match-mode=ann` accuracy degrades
 /// only by bounded recall loss, never by approximate scores.
 ///
 /// The index borrows the bank it was built from (it reads the bank's
-/// log-Hu maps at query time): the bank must outlive the index, and a
-/// repacked bank needs a rebuilt index.
+/// log-Hu maps and nonzero-bin lists at query time): the bank must
+/// outlive the index, and a repacked bank needs a rebuilt index.
 class GalleryViewIndex {
  public:
   [[nodiscard]] static GalleryViewIndex Build(
@@ -237,26 +209,27 @@ class GalleryViewIndex {
 
   /// Union of per-modality top-R candidate view indices for `query`,
   /// sorted ascending (deterministic rerank order). Empty when no usable
-  /// modality — callers fall back to a full exact scan.
+  /// modality — callers fall back to a full exact scan. Negative query
+  /// bins count as zero; a query with a NaN bin, or a bin a float cannot
+  /// hold, proposes no colour candidates.
   [[nodiscard]] std::vector<int> Candidates(const ImageFeatures& query,
                                             bool use_shape,
                                             bool use_color) const;
 
   int candidates_per_modality() const { return options_.candidates; }
 
-  /// Sqrt-space color embedding (exposed for tests): one float per
-  /// histogram bin, `bins_per_channel`^3 total.
-  [[nodiscard]] static FloatDescriptor ColorEmbedding(const double* bins,
-                                                      int bins_per_channel);
-
  private:
   GalleryIndexOptions options_;
   const FeatureBank* bank_ = nullptr;
   /// Exact shape prefilter rows: valid bank views with finite Hu moments.
   std::vector<int> shape_ids_;
-  /// Sqrt-space color embeddings, scanned by the batch float kernel.
-  FloatDescriptorBank color_bank_;
+  /// Colour retrieval rows: valid bank views whose histogram is finite,
+  /// non-negative and has positive mass.
   std::vector<int> color_ids_;
+  /// sqrt(v[k] / sum v) of every bank nonzero-bin entry of a colour
+  /// retrieval row (0 for other rows), index-aligned with
+  /// `bank.nz_values`.
+  std::vector<float> nz_sqrt_;
 };
 
 }  // namespace snor

@@ -37,6 +37,13 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::CreateFromBank(
   SNOR_CHECK(bank != nullptr);
   SNOR_RETURN_NOT_OK(
       ValidateGallery(spec, *bank, "shard " + spec.DisplayName()));
+  if (options.match_mode == MatchMode::kAnn && options.ann.candidates < 1) {
+    // A budget of zero proposes no candidates, so every query would
+    // silently fall back to a full scan.
+    return Status::InvalidArgument(
+        "ann candidate budget must be at least 1, got " +
+        std::to_string(options.ann.candidates));
+  }
   // NOLINTNEXTLINE(raw-new-delete): private ctor, immediately owned.
   return std::unique_ptr<BatchEngine>(new BatchEngine(
       spec, std::move(bank), options, baseline_seed));
@@ -177,7 +184,7 @@ BatchEngine::ViewSet BatchEngine::TaskViews(const ImageFeatures& query,
   }
   ViewSet views{0, bank_->size(),
                 index_->Candidates(query, modes.shape, modes.color)};
-  // No usable modality embedding: degrade to a full exact scan rather
+  // No modality proposed candidates: degrade to a full exact scan rather
   // than answering from nothing.
   *full_scan = views.candidates.empty() ? 1 : 0;
   return views;

@@ -55,7 +55,8 @@ struct BatchEngineOptions {
   int n_threads = 0;
   /// Exact full-bank scan vs. ANN candidates + exact rerank.
   MatchMode match_mode = MatchMode::kExact;
-  /// ANN index knobs (kAnn only): top-R per modality, shape metric.
+  /// ANN index knobs (kAnn only): top-R per modality (at least 1),
+  /// shape metric.
   GalleryIndexOptions ann;
 };
 
@@ -68,7 +69,8 @@ struct BatchEngineOptions {
 class BatchEngine {
  public:
   /// Validating factory: fails like `MakeClassifier` (the shared
-  /// `ValidateGallery`) on an empty or all-invalid gallery. Packs
+  /// `ValidateGallery`) on an empty or all-invalid gallery, and with
+  /// InvalidArgument on a kAnn candidate budget below 1. Packs
   /// `gallery` into a bank of its own; the engine keeps no reference to
   /// `gallery`.
   [[nodiscard]] static Result<std::unique_ptr<BatchEngine>> Create(

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/classifiers.h"
-#include "features/matcher.h"
 #include "geometry/moments.h"
 #include "util/rng.h"
 
@@ -400,47 +399,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BankKernelFuzzTest,
                          ::testing::Values(17u, 29u, 43u, 97u));
 
 // ---------------------------------------------------------------------------
-// Float descriptor bank: the retrieval-only squared-L2 kernel.
-// ---------------------------------------------------------------------------
-
-std::vector<FloatDescriptor> RandomFloatDescriptors(std::size_t n,
-                                                    std::size_t dim,
-                                                    Rng& rng) {
-  std::vector<FloatDescriptor> out;
-  for (std::size_t i = 0; i < n; ++i) {
-    FloatDescriptor d(dim);
-    for (float& v : d) v = static_cast<float>(rng.Normal());
-    out.push_back(std::move(d));
-  }
-  return out;
-}
-
-// The retrieval-only squared-L2 kernel is allowed to differ in rounding but
-// must rank like the exact kernel: same argmin, and each value within
-// relative tolerance of the exact distance squared.
-TEST(DescriptorBankTest, SquaredL2RanksLikeExactL2) {
-  Rng rng(7);
-  const auto descs = RandomFloatDescriptors(64, 48, rng);
-  const auto queries = RandomFloatDescriptors(8, 48, rng);
-  const FloatDescriptorBank bank = PackFloatDescriptors(descs);
-  std::vector<float> sq(bank.count);
-  for (const auto& q : queries) {
-    BankFloatSquaredL2(bank, q, sq.data());
-    std::size_t best_sq = 0, best_exact = 0;
-    for (std::size_t i = 0; i < descs.size(); ++i) {
-      const float exact = FloatDistance(q, descs[i], FloatNorm::kL2);
-      EXPECT_NEAR(sq[i], exact * exact, 1e-3 * (1.0 + exact * exact)) << i;
-      if (sq[i] < sq[best_sq]) best_sq = i;
-      if (FloatDistance(q, descs[i], FloatNorm::kL2) <
-          FloatDistance(q, descs[best_exact], FloatNorm::kL2)) {
-        best_exact = i;
-      }
-    }
-    EXPECT_EQ(best_sq, best_exact);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // LogHuMap: the mapped shape distance is the same function as the raw one.
 // ---------------------------------------------------------------------------
 
@@ -474,23 +432,76 @@ TEST(LogHuMapTest, MappedDistanceIsBitIdenticalToRaw) {
 // GalleryViewIndex: candidate retrieval contract.
 // ---------------------------------------------------------------------------
 
-TEST(GalleryViewIndexTest, CandidatesAreSortedUniqueAndBounded) {
-  const auto gallery = FuzzGallery(100, 21);
-  const auto queries = FuzzGallery(9, 22);
-  const FeatureBank bank = PackFeatureBank(gallery);
-  GalleryIndexOptions opts;
-  opts.candidates = 12;
-  const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
-  for (const auto& q : queries) {
-    const auto cands = index.Candidates(q, true, true);
-    EXPECT_LE(cands.size(), 24u);  // <= R per modality.
-    for (std::size_t i = 1; i < cands.size(); ++i) {
-      EXPECT_LT(cands[i - 1], cands[i]);  // Sorted, no duplicates.
+// Gallery whose histograms each hold at most `occupied` nonzero bins, the
+// way rendered views fill a median 21 of 512 (0 = every bin occupied).
+// Every third row keeps an unnormalized mass in [0.05, 20), so retrieval
+// has to rank by the normalized coefficient, not by raw bin values.
+std::vector<ImageFeatures> OccupancyGallery(std::size_t n, std::uint64_t seed,
+                                            int bins_per_channel,
+                                            std::size_t occupied = 24) {
+  Rng rng(seed);
+  std::vector<ImageFeatures> gallery(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ImageFeatures& f = gallery[i];
+    f.label = ClassFromIndex(static_cast<int>(i % kNumClasses));
+    f.model_id = static_cast<int>(i / kNumClasses);
+    f.valid = true;
+    for (double& h : f.hu) h = rng.Uniform(-1.0, 1.0);
+    f.histogram = ColorHistogram(bins_per_channel);
+    std::vector<double>& bins = f.histogram.bins();
+    if (occupied == 0) {
+      for (double& bin : bins) bin = rng.UniformDouble() + 0.01;
     }
-    for (int c : cands) {
-      ASSERT_GE(c, 0);
-      ASSERT_LT(c, static_cast<int>(gallery.size()));
-      EXPECT_TRUE(gallery[static_cast<std::size_t>(c)].valid);
+    for (std::size_t k = 0; k < occupied; ++k) {
+      bins[rng.Index(bins.size())] = rng.UniformDouble() + 0.01;
+    }
+    f.histogram.NormalizeL1();
+    if (i % 3 == 2) {
+      const double mass = rng.Uniform(0.05, 20.0);
+      for (double& bin : bins) bin *= mass;
+    }
+  }
+  return gallery;
+}
+
+// The index's inputs: the hostile fuzz gallery (mostly dense rows) and
+// rendered-occupancy galleries of 64 and 512 bins.
+struct IndexGalleries {
+  const char* name;
+  std::vector<ImageFeatures> gallery;
+  std::vector<ImageFeatures> queries;
+};
+
+std::vector<IndexGalleries> IndexInputs(std::size_t n, std::size_t nq,
+                                        std::uint64_t seed) {
+  std::vector<IndexGalleries> inputs;
+  inputs.push_back({"fuzz", FuzzGallery(n, seed), FuzzGallery(nq, seed + 1)});
+  for (const int bins_per_channel : {4, 8}) {
+    inputs.push_back({bins_per_channel == 4 ? "sparse64" : "sparse512",
+                      OccupancyGallery(n, seed, bins_per_channel),
+                      OccupancyGallery(nq, seed + 1, bins_per_channel)});
+  }
+  return inputs;
+}
+
+TEST(GalleryViewIndexTest, CandidatesAreSortedUniqueAndBounded) {
+  for (const IndexGalleries& in : IndexInputs(100, 9, 21)) {
+    SCOPED_TRACE(in.name);
+    const FeatureBank bank = PackFeatureBank(in.gallery);
+    GalleryIndexOptions opts;
+    opts.candidates = 12;
+    const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
+    for (const auto& q : in.queries) {
+      const auto cands = index.Candidates(q, true, true);
+      EXPECT_LE(cands.size(), 24u);  // <= R per modality.
+      for (std::size_t i = 1; i < cands.size(); ++i) {
+        EXPECT_LT(cands[i - 1], cands[i]);  // Sorted, no duplicates.
+      }
+      for (int c : cands) {
+        ASSERT_GE(c, 0);
+        ASSERT_LT(c, static_cast<int>(in.gallery.size()));
+        EXPECT_TRUE(in.gallery[static_cast<std::size_t>(c)].valid);
+      }
     }
   }
 }
@@ -499,31 +510,136 @@ TEST(GalleryViewIndexTest, CandidatesAreSortedUniqueAndBounded) {
 // optimum is guaranteed to be proposed — rerank then reproduces the exact
 // result, which is what the engine's identity contract relies on.
 TEST(GalleryViewIndexTest, FullBudgetContainsExactOptima) {
-  const auto gallery = FuzzGallery(60, 31);
-  const auto queries = FuzzGallery(7, 32);
-  const FeatureBank bank = PackFeatureBank(gallery);
-  GalleryIndexOptions opts;
-  opts.candidates = static_cast<int>(gallery.size());
-  const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
-  for (const auto& q : queries) {
-    const auto cands = index.Candidates(q, true, true);
-    const PartialBest shape = DenseShapeArgmin(q, gallery, 0, gallery.size(),
-                                               ShapeMatchMethod::kI3);
-    const PartialBest full_shape =
-        BankShapeArgminOverCandidates(q, bank, cands, ShapeMatchMethod::kI3);
-    EXPECT_EQ(full_shape.found, shape.found);
-    if (shape.found) {
-      EXPECT_EQ(full_shape.score, shape.score);
-      EXPECT_EQ(full_shape.label, shape.label);
+  for (const IndexGalleries& in : IndexInputs(60, 7, 31)) {
+    SCOPED_TRACE(in.name);
+    const auto& gallery = in.gallery;
+    const FeatureBank bank = PackFeatureBank(gallery);
+    GalleryIndexOptions opts;
+    opts.candidates = static_cast<int>(gallery.size());
+    const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
+    for (const auto& q : in.queries) {
+      const auto cands = index.Candidates(q, true, true);
+      const PartialBest shape = DenseShapeArgmin(
+          q, gallery, 0, gallery.size(), ShapeMatchMethod::kI3);
+      const PartialBest full_shape =
+          BankShapeArgminOverCandidates(q, bank, cands, ShapeMatchMethod::kI3);
+      EXPECT_EQ(full_shape.found, shape.found);
+      if (shape.found) {
+        EXPECT_EQ(full_shape.score, shape.score);
+        EXPECT_EQ(full_shape.label, shape.label);
+      }
+      const PartialBest color = DenseColorArgbest(
+          q, gallery, 0, gallery.size(), HistCompareMethod::kHellinger);
+      const PartialBest full_color = BankColorArgbestOverCandidates(
+          q, bank, cands, HistCompareMethod::kHellinger);
+      EXPECT_EQ(full_color.found, color.found);
+      if (color.found) {
+        EXPECT_EQ(full_color.score, color.score);
+        EXPECT_EQ(full_color.label, color.label);
+      }
     }
-    const PartialBest color = DenseColorArgbest(
-        q, gallery, 0, gallery.size(), HistCompareMethod::kHellinger);
-    const PartialBest full_color = BankColorArgbestOverCandidates(
-        q, bank, cands, HistCompareMethod::kHellinger);
-    EXPECT_EQ(full_color.found, color.found);
-    if (color.found) {
-      EXPECT_EQ(full_color.score, color.score);
-      EXPECT_EQ(full_color.label, color.label);
+  }
+}
+
+// A histogram the colour index ranks: finite, non-negative bins with
+// positive mass.
+bool Rankable(const ColorHistogram& h) {
+  double mass = 0.0;
+  for (const double bin : h.bins()) {
+    if (!std::isfinite(bin) || bin < 0.0) return false;
+    mass += bin;
+  }
+  return mass > 0.0;
+}
+
+// The colour candidates are the top-R views of the dense exact
+// CompareHistograms(kHellinger) reference over the rankable views, on
+// dense and sparse rows, normalized or not. Retrieval sums in float, so a
+// view may swap places with another whose exact squared distance is
+// within kTol of the R-th best; nothing further apart may.
+TEST(GalleryViewIndexTest, ColorCandidatesAreHellingerTopR) {
+  constexpr double kTol = 1e-5;  // On H^2 = 1 - Bhattacharyya coefficient.
+  std::vector<IndexGalleries> inputs = IndexInputs(200, 12, 41);
+  for (const int bins_per_channel : {4, 8}) {
+    inputs.push_back({bins_per_channel == 4 ? "dense64" : "dense512",
+                      OccupancyGallery(200, 43, bins_per_channel, 0),
+                      OccupancyGallery(12, 44, bins_per_channel, 0)});
+  }
+  for (const IndexGalleries& in : inputs) {
+    SCOPED_TRACE(in.name);
+    const FeatureBank bank = PackFeatureBank(in.gallery);
+    GalleryIndexOptions opts;
+    opts.candidates = 10;
+    const GalleryViewIndex index = GalleryViewIndex::Build(bank, opts);
+    std::size_t queries_checked = 0;
+    for (const auto& q : in.queries) {
+      if (!Rankable(q.histogram)) continue;
+      ++queries_checked;
+      std::vector<double> h2(in.gallery.size(), -1.0);  // -1: not ranked.
+      std::vector<double> ranked;
+      for (std::size_t i = 0; i < in.gallery.size(); ++i) {
+        const ImageFeatures& v = in.gallery[i];
+        if (!v.valid || !Rankable(v.histogram)) continue;
+        const double h = CompareHistograms(q.histogram, v.histogram,
+                                           HistCompareMethod::kHellinger);
+        h2[i] = h * h;
+        ranked.push_back(h2[i]);
+      }
+      const std::size_t r = std::min<std::size_t>(10, ranked.size());
+      ASSERT_GT(r, 0u);
+      std::nth_element(ranked.begin(),
+                       ranked.begin() + static_cast<std::ptrdiff_t>(r - 1),
+                       ranked.end());
+      const double kth = ranked[r - 1];
+
+      const std::vector<int> cands = index.Candidates(q, false, true);
+      ASSERT_EQ(cands.size(), r);
+      std::vector<char> proposed(in.gallery.size(), 0);
+      for (const int c : cands) {
+        const auto i = static_cast<std::size_t>(c);
+        ASSERT_GE(h2[i], 0.0) << "view " << c << " is not rankable";
+        EXPECT_LE(h2[i], kth + kTol) << "view " << c;
+        proposed[i] = 1;
+      }
+      for (std::size_t i = 0; i < in.gallery.size(); ++i) {
+        if (h2[i] >= 0.0 && proposed[i] == 0) {
+          EXPECT_GE(h2[i], kth - kTol) << "view " << i << " was left out";
+        }
+      }
+    }
+    EXPECT_GT(queries_checked, 0u);
+  }
+}
+
+// The sparse dot reads a query bin only where some view occupies it, so
+// the index checks the query itself: a NaN, +inf or float-overflowing bin
+// proposes no colour candidates even in a bin no view occupies (the engine
+// then full-scans), while negative bins count as zero.
+TEST(GalleryViewIndexTest, NonFiniteQueryProposesNoColorCandidates) {
+  for (const int bins_per_channel : {4, 8}) {
+    SCOPED_TRACE(bins_per_channel);
+    std::vector<ImageFeatures> gallery =
+        OccupancyGallery(50, 51, bins_per_channel);
+    for (ImageFeatures& f : gallery) f.histogram.bins()[0] = 0.0;
+    const FeatureBank bank = PackFeatureBank(gallery);
+    const GalleryViewIndex index = GalleryViewIndex::Build(bank, {});
+
+    ImageFeatures q = OccupancyGallery(1, 52, bins_per_channel).front();
+    q.histogram.bins()[0] = 0.0;
+    const std::vector<int> color = index.Candidates(q, false, true);
+    const std::vector<int> shape = index.Candidates(q, true, false);
+    ASSERT_FALSE(color.empty());
+
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), 1e300}) {
+      q.histogram.bins()[0] = bad;
+      EXPECT_TRUE(index.Candidates(q, false, true).empty()) << bad;
+      EXPECT_EQ(index.Candidates(q, true, true), shape) << bad;
+    }
+    for (const double negative :
+         {-0.5, -std::numeric_limits<double>::infinity()}) {
+      q.histogram.bins()[0] = negative;
+      EXPECT_EQ(index.Candidates(q, false, true), color) << negative;
     }
   }
 }

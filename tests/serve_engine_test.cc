@@ -162,7 +162,7 @@ TEST(BatchEngineTest, DegradedQueriesFallBackLikeColdPath) {
   }
 }
 
-// A query whose colour embedding is non-finite gets no ANN candidates;
+// A query with a NaN colour bin gets no ANN colour candidates;
 // the engine then scans the whole bank, which must answer and count
 // exactly like exact mode.
 TEST(BatchEngineTest, AnnWithoutCandidatesFallsBackToFullScan) {
@@ -197,6 +197,36 @@ TEST(BatchEngineTest, AnnWithoutCandidatesFallsBackToFullScan) {
     EXPECT_EQ(a.shape_only, e.shape_only);
     EXPECT_EQ(a.color_only, e.color_only);
   }
+}
+
+// A budget below 1 proposes no candidates, so every ANN query would
+// silently full-scan; the factory refuses it instead. Exact mode never
+// reads the budget.
+TEST(BatchEngineTest, AnnRejectsNonPositiveCandidateBudget) {
+  auto& ctx = Context();
+  const auto& gallery = ctx.Sns1Features();
+  const ApproachSpec spec = Table2Approaches()[6];
+  const auto bank =
+      std::make_shared<const FeatureBank>(PackFeatureBank(gallery));
+  for (const int budget : {0, -1}) {
+    SCOPED_TRACE(budget);
+    BatchEngineOptions options;
+    options.match_mode = MatchMode::kAnn;
+    options.ann.candidates = budget;
+    auto engine = BatchEngine::Create(spec, gallery, options);
+    ASSERT_FALSE(engine.ok());
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument);
+    auto shared = BatchEngine::CreateFromBank(spec, bank, options);
+    ASSERT_FALSE(shared.ok());
+    EXPECT_EQ(shared.status().code(), StatusCode::kInvalidArgument);
+
+    options.match_mode = MatchMode::kExact;
+    EXPECT_TRUE(BatchEngine::Create(spec, gallery, options).ok());
+  }
+  BatchEngineOptions one;
+  one.match_mode = MatchMode::kAnn;
+  one.ann.candidates = 1;
+  EXPECT_TRUE(BatchEngine::Create(spec, gallery, one).ok());
 }
 
 TEST(RunApproachBatchedTest, ReportMatchesColdRunApproach) {
