@@ -260,6 +260,16 @@ int Run(const LoadConfig& config) {
   trace_options.latency_keep_threshold_us = config.deadline_ms * 1000.0 * 0.8;
   trace_options.sample_every = 1000;
 
+  // Options the service refuses (e.g. an ANN candidate budget below 1)
+  // fail here, before the probes below print figures for a service
+  // that cannot exist.
+  if (auto check = RecognitionService::Create(spec, gallery, options);
+      !check.ok()) {
+    std::fprintf(stderr, "load_serving: %s\n",
+                 check.status().ToString().c_str());
+    return 1;
+  }
+
   // ---- Match probe: per-query matching seconds for the configured mode
   // and (for ann) recall@1 against the exact engine on the same slice.
   const MatchProbeResult match_probe =
@@ -553,31 +563,35 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags: anything but a whole number (a finite number for
+    // the rates and the deadline) is a usage error.
+    const auto number = [&](const char* flag, auto* out) {
+      const char* value = next(flag);
+      if (!snor::bench::ParseFlagValue(value, out)) {
+        std::fprintf(stderr, "bad %s %s (want a number)\n", flag, value);
+        std::exit(2);
+      }
+    };
     if (std::strcmp(argv[i], "--queries") == 0) {
-      config.queries = std::strtoull(next("--queries"), nullptr, 10);
+      number("--queries", &config.queries);
     } else if (std::strcmp(argv[i], "--producers") == 0) {
-      config.producers =
-          static_cast<int>(std::strtol(next("--producers"), nullptr, 10));
+      number("--producers", &config.producers);
     } else if (std::strcmp(argv[i], "--rate") == 0) {
-      config.rate_qps = std::strtod(next("--rate"), nullptr);
+      number("--rate", &config.rate_qps);
     } else if (std::strcmp(argv[i], "--fault-rate") == 0) {
-      config.fault_rate = std::strtod(next("--fault-rate"), nullptr);
+      number("--fault-rate", &config.fault_rate);
     } else if (std::strcmp(argv[i], "--fault-seed") == 0) {
-      config.fault_seed = std::strtoull(next("--fault-seed"), nullptr, 10);
+      number("--fault-seed", &config.fault_seed);
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      config.deadline_ms = std::strtod(next("--deadline-ms"), nullptr);
+      number("--deadline-ms", &config.deadline_ms);
     } else if (std::strcmp(argv[i], "--queue-cap") == 0) {
-      config.queue_capacity = static_cast<std::size_t>(
-          std::strtoull(next("--queue-cap"), nullptr, 10));
+      number("--queue-cap", &config.queue_capacity);
     } else if (std::strcmp(argv[i], "--max-batch") == 0) {
-      config.max_batch =
-          static_cast<int>(std::strtol(next("--max-batch"), nullptr, 10));
+      number("--max-batch", &config.max_batch);
     } else if (std::strcmp(argv[i], "--shards") == 0) {
-      config.shards =
-          static_cast<int>(std::strtol(next("--shards"), nullptr, 10));
+      number("--shards", &config.shards);
     } else if (std::strcmp(argv[i], "--introspect-port") == 0) {
-      config.introspect_port = static_cast<int>(
-          std::strtol(next("--introspect-port"), nullptr, 10));
+      number("--introspect-port", &config.introspect_port);
     } else if (std::strcmp(argv[i], "--match-mode") == 0) {
       const char* value = next("--match-mode");
       const auto mode = snor::serve::ParseMatchMode(value);
@@ -587,8 +601,7 @@ int main(int argc, char** argv) {
       }
       config.match_mode = mode.value();
     } else if (std::strcmp(argv[i], "--ann-candidates") == 0) {
-      config.ann_candidates =
-          static_cast<int>(std::strtol(next("--ann-candidates"), nullptr, 10));
+      number("--ann-candidates", &config.ann_candidates);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--queries N] [--producers P] [--rate QPS] "

@@ -53,11 +53,13 @@ int main(int argc, char** argv) {
   double fault_rate = 0.01;
   std::string store_dir;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc &&
+        bench::ParseFlagValue(argv[i + 1], &fault_seed)) {
       faults_armed = true;
-      fault_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc) {
-      fault_rate = std::strtod(argv[++i], nullptr);
+      ++i;
+    } else if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc &&
+               bench::ParseFlagValue(argv[i + 1], &fault_rate)) {
+      ++i;
     } else if (std::strcmp(argv[i], "--feature-store") == 0 && i + 1 < argc) {
       store_dir = argv[++i];
     } else {

@@ -20,7 +20,7 @@ void Report(const CallGraph& graph, const FunctionRef& site, int line,
             std::vector<Finding>* out) {
   const TuSummary& tu = graph.tus()[site.tu];
   if (tu.Suppressed(line, rule)) return;
-  out->push_back({tu.path, line, rule, std::move(message), false});
+  out->push_back({tu.path, line, rule, std::move(message)});
 }
 
 // ------------------------------------------------------- lock ordering --

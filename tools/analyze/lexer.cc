@@ -318,11 +318,14 @@ void CollectNolint(SourceFile* file) {
   }
 }
 
-void LoadFromString(std::string text, const std::string& disk_path,
-                    SourceFile* out) {
-  out->real_path = disk_path;
+bool LoadFile(const fs::path& disk_path, SourceFile* out) {
+  std::ifstream in(disk_path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  out->real_path = disk_path.generic_string();
   out->path = out->real_path;
-  Lexer(std::move(text)).Run(out);
+  Lexer(buffer.str()).Run(out);
   // Honour an ANALYZE-AS virtual path in an early comment (fixtures use
   // it to exercise the path-scoped analyses).
   for (const Token& tok : out->tokens) {
@@ -343,28 +346,7 @@ void LoadFromString(std::string text, const std::string& disk_path,
     if (e > s) out->path = tok.text.substr(s, e - s);
   }
   CollectNolint(out);
-}
-
-bool LoadFile(const fs::path& disk_path, SourceFile* out) {
-  std::ifstream in(disk_path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  LoadFromString(buffer.str(), disk_path.generic_string(), out);
   return true;
-}
-
-std::uint64_t Fnv1aMix(std::uint64_t seed, const std::string& data) {
-  std::uint64_t h = seed;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t Fnv1a(const std::string& data) {
-  return Fnv1aMix(14695981039346656037ull, data);
 }
 
 }  // namespace snor_analyze

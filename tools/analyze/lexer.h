@@ -13,7 +13,6 @@
 // newline) and block comments inside the directive body, so macro bodies
 // never leak tokens into the analyzed stream.
 
-#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -36,7 +35,6 @@ struct Finding {
   int line = 0;
   std::string rule;
   std::string message;
-  bool baselined = false;
 
   bool operator<(const Finding& o) const {
     if (file != o.file) return file < o.file;
@@ -121,15 +119,6 @@ void CollectNolint(SourceFile* file);
 // in an early comment.
 [[nodiscard]] bool LoadFile(const std::filesystem::path& disk_path,
                             SourceFile* out);
-
-// Same, from an already-read buffer (the incremental driver reads file
-// bytes once to hash them, then tokenizes only on a cache miss).
-void LoadFromString(std::string text, const std::string& disk_path,
-                    SourceFile* out);
-
-// FNV-1a over `data` — content hashes for the summary cache.
-std::uint64_t Fnv1a(const std::string& data);
-std::uint64_t Fnv1aMix(std::uint64_t seed, const std::string& data);
 
 }  // namespace snor_analyze
 

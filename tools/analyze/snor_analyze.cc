@@ -44,19 +44,17 @@
 //   promise-exactly-once A promise-routing loop has a path that drops a
 //                        promise-carrying value or fulfils it twice.
 //
-// Pass 1 builds one summary per TU (summary.h); summaries are cached on
-// disk (`--cache-dir`) keyed by content hash, format version and
-// `--cache-salt`, so a warm incremental run re-tokenizes only edited
-// TUs (`--cache-max-bytes` LRU-bounds the cache directory). Pass 2
-// (cross-TU linking + the interprocedural checks) runs from summaries
-// every time — it is cheap relative to tokenization.
+// Each run is one cold pass: read and tokenize every file, build one
+// summary per TU (summary.h), run the intra-file checks, link the
+// summaries into a call graph (callgraph.h) and run the cross-file
+// checks. The cross-file checks need the whole program, so the tool
+// always analyzes a whole tree (`--root`) or fixture set.
 //
-// Suppression: `// NOLINT(rule)` on the line, `// NOLINTNEXTLINE(rule)`
-// above it, or a (path, rule) entry in the baseline file
-// (tools/analyze/baseline.txt) for intentionally deferred findings.
+// Suppression: `// NOLINT(rule)` on the line, or `// NOLINTNEXTLINE(rule)`
+// above it.
 //
-// Output: human-readable text (default) or SARIF 2.1.0 (`--format=sarif`
-// or `--sarif-out FILE`), consumable by editors and CI annotators.
+// Output: one `file:line: [rule] message` line per finding, then a
+// count; the exit status is 1 when there is any finding.
 //
 // Self-test: `snor_analyze --self-test <dir>` mirrors snor_lint's
 // harness: fixtures carry `// EXPECT-ANALYZE: rule` annotations and the
@@ -67,11 +65,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -82,7 +78,6 @@
 #include "concurrency_checks.h"
 #include "lexer.h"
 #include "summary.h"
-#include "util/fault.h"
 
 namespace snor_analyze {
 
@@ -99,18 +94,6 @@ struct LayerConfig {
 
   bool Known(const std::string& module) const {
     return allowed.count(module) > 0;
-  }
-
-  // Stable serialization, mixed into the intra-findings fingerprint so
-  // cached layering findings are invalidated when the DAG changes.
-  std::string Serialized() const {
-    std::string out;
-    for (const auto& [module, deps] : allowed) {
-      out += module + "=";
-      for (const std::string& d : deps) out += d + ",";
-      out += ";";
-    }
-    return out;
   }
 };
 
@@ -326,8 +309,8 @@ void CheckIncludeCycles(const std::vector<TuSummary>& tus,
 // ------------------------------------------------------------ dataflow --
 
 // Names of Status/Result-returning functions: per-TU sets are collected
-// by pass 1 (so they cache); the program-wide registry is their union
-// plus seeds for members the declaration scan cannot see.
+// by pass 1; the program-wide registry is their union plus seeds for
+// members the declaration scan cannot see.
 std::set<std::string> BuildFallibleRegistry(
     const std::vector<TuSummary>& tus) {
   std::set<std::string> registry = {"RetryWithBackoff", "status"};
@@ -948,162 +931,6 @@ class DataflowAnalyzer {
   std::vector<int> paren_stack_;
 };
 
-// ------------------------------------------------------------- baseline --
-
-// Baseline entries: `<path> <rule>` per line, `#` comments. A matching
-// finding is kept but marked baselined (reported, not fatal).
-std::vector<std::pair<std::string, std::string>> LoadBaseline(
-    const fs::path& path) {
-  std::vector<std::pair<std::string, std::string>> entries;
-  std::ifstream in(path);
-  if (!in) return entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ss(line);
-    std::string file;
-    std::string rule;
-    if (ss >> file >> rule) entries.emplace_back(file, rule);
-  }
-  return entries;
-}
-
-void ApplyBaseline(
-    const std::vector<std::pair<std::string, std::string>>& baseline,
-    std::vector<Finding>* findings) {
-  for (Finding& f : *findings) {
-    for (const auto& [file, rule] : baseline) {
-      if (f.rule == rule &&
-          (f.file == file ||
-           (f.file.size() > file.size() &&
-            f.file.compare(f.file.size() - file.size(), file.size(), file) ==
-                0 &&
-            f.file[f.file.size() - file.size() - 1] == '/'))) {
-        f.baselined = true;
-        break;
-      }
-    }
-  }
-}
-
-// ----------------------------------------------------------------- sarif --
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-struct RuleInfo {
-  const char* id;
-  const char* description;
-};
-
-constexpr RuleInfo kRules[] = {
-    {"layer-violation",
-     "Include edge not allowed by the declared module DAG"},
-    {"include-cycle", "Cycle in the project include graph"},
-    {"use-after-move", "Local variable read after std::move"},
-    {"unchecked-status",
-     "Status/Result consumed before its .ok() check"},
-    {"lock-temporary",
-     "Immediately-destroyed lock temporary guards nothing"},
-    {"guarded-by",
-     "GUARDED_BY state written in a ParallelFor lambda without its guard"},
-    {"lock-order-cycle",
-     "Lock-acquisition order violates LOCK_RANK ranks or forms a cycle"},
-    {"blocking-under-lock",
-     "Blocking call reached (possibly transitively) while holding a lock"},
-    {"condvar-predicate",
-     "Condition-variable wait without predicate or re-check loop"},
-    {"promise-exactly-once",
-     "A loop path drops a promise-carrying value or fulfils it twice"},
-};
-
-int RuleIndexOf(const std::string& rule) {
-  int index = 0;
-  for (const RuleInfo& r : kRules) {
-    if (rule == r.id) return index;
-    ++index;
-  }
-  return -1;
-}
-
-// Stable across line shifts: content hash of file + rule + message, the
-// token window SARIF consumers use to match results between runs.
-std::string FindingFingerprint(const Finding& f) {
-  std::uint64_t h = Fnv1a(f.file);
-  h = Fnv1aMix(h, f.rule);
-  h = Fnv1aMix(h, f.message);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return buf;
-}
-
-std::string SarifReport(const std::vector<Finding>& findings) {
-  std::ostringstream out;
-  out << "{\"version\":\"2.1.0\",\"$schema\":"
-         "\"https://json.schemastore.org/sarif-2.1.0.json\",\"runs\":[{"
-         "\"tool\":{\"driver\":{\"name\":\"snor_analyze\","
-         "\"informationUri\":\"https://example.invalid/snor\","
-         "\"version\":\"2.0.0\",\"rules\":[";
-  bool first = true;
-  for (const RuleInfo& rule : kRules) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"id\":\"" << rule.id << "\",\"shortDescription\":{\"text\":\""
-        << JsonEscape(rule.description) << "\"}}";
-  }
-  out << "]}},\"results\":[";
-  first = true;
-  // Identical findings surfacing through several TUs (same file, rule
-  // and message — e.g. a header finding re-linked per includer) carry
-  // the same fingerprint; emit only the first so editors show one.
-  std::set<std::pair<std::string, std::string>> seen;
-  for (const Finding& f : findings) {
-    const std::string fingerprint = FindingFingerprint(f);
-    if (!seen.insert({f.rule, fingerprint}).second) continue;
-    if (!first) out << ",";
-    first = false;
-    out << "{\"ruleId\":\"" << f.rule << "\"";
-    const int rule_index = RuleIndexOf(f.rule);
-    if (rule_index >= 0) out << ",\"ruleIndex\":" << rule_index;
-    out << ",\"level\":\"" << (f.baselined ? "note" : "error")
-        << "\",\"message\":{\"text\":\"" << JsonEscape(f.message)
-        << "\"},\"partialFingerprints\":{\"snorContentHash/v1\":\""
-        << fingerprint << "\"},\"locations\":[{"
-        << "\"physicalLocation\":{\"artifactLocation\":{\"uri\":\""
-        << JsonEscape(f.file) << "\"},\"region\":{\"startLine\":" << f.line
-        << "}}}]";
-    if (f.baselined) {
-      out << ",\"suppressions\":[{\"kind\":\"external\",\"justification\":"
-             "\"tools/analyze/baseline.txt\"}]";
-    }
-    out << "}";
-  }
-  out << "]}]}";
-  return out.str();
-}
-
 // ---------------------------------------------------------------- driver --
 
 bool IsSourcePath(const fs::path& p) {
@@ -1141,182 +968,84 @@ std::vector<std::string> CollectTreeFiles(const fs::path& root) {
   return files;
 }
 
-struct AnalyzeOptions {
-  fs::path cache_dir;  // Empty = caching disabled.
-  std::uint64_t cache_salt = 0;
-  std::uint64_t cache_max_bytes = 0;  // 0 = unbounded (no eviction).
-};
-
-struct AnalyzeResult {
-  std::vector<Finding> findings;
-  std::size_t files = 0;
-  std::size_t resummarized = 0;  // TUs tokenized this run.
-  std::size_t cached = 0;        // TUs served entirely from the cache.
-};
-
-// The incremental two-pass pipeline:
-//   A. read + hash every file; load its summary from the cache or build
-//      it fresh (tokenize + pass 1);
-//   B. derive the program-wide fallible registry and the intra-findings
-//      fingerprint (registry + layer DAG) from the summaries;
-//   C. replay cached intra findings where the fingerprint matches,
-//      re-run the intra analyses (and refresh the cache) elsewhere;
-//   D. link summaries (pass 2) and run include-cycle + the four
-//      interprocedural concurrency checks — always, they are cheap.
-bool AnalyzePaths(const std::vector<std::string>& paths,
-                  const LayerConfig& config, const AnalyzeOptions& options,
-                  AnalyzeResult* result) {
-  const std::size_t n = paths.size();
-  std::vector<TuSummary> tus;
-  tus.reserve(n);
-  std::vector<std::unique_ptr<SourceFile>> sources(n);
-  std::vector<std::string> texts(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    std::ifstream in(paths[i], std::ios::binary);
-    if (!in) {
+// Reads and tokenizes every path; false on the first unreadable one.
+bool LoadSources(const std::vector<std::string>& paths,
+                 std::vector<SourceFile>* out) {
+  out->resize(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    if (!LoadFile(paths[i], &(*out)[i])) {
       std::fprintf(stderr, "snor_analyze: cannot read %s\n",
                    paths[i].c_str());
       return false;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    texts[i] = buffer.str();
-    const std::uint64_t hash = Fnv1a(texts[i]);
-    const std::string disk_path = fs::path(paths[i]).generic_string();
-    TuSummary tu;
-    if (!LoadCachedSummary(options.cache_dir, options.cache_salt, disk_path,
-                           hash, &tu)) {
-      auto source = std::make_unique<SourceFile>();
-      LoadFromString(texts[i], disk_path, source.get());
-      tu = BuildTuSummary(*source);
-      tu.content_hash = hash;
-      sources[i] = std::move(source);
-    }
-    tus.push_back(std::move(tu));
   }
-  result->files = n;
-
-  const std::set<std::string> fallible = BuildFallibleRegistry(tus);
-  std::uint64_t fingerprint = Fnv1a(config.Serialized());
-  for (const std::string& name : fallible) {
-    fingerprint = Fnv1aMix(fingerprint, name);
-  }
-
-  for (std::size_t i = 0; i < n; ++i) {
-    TuSummary& tu = tus[i];
-    if (sources[i] == nullptr && tu.intra_fingerprint == fingerprint) {
-      for (const CachedFinding& cf : tu.intra_findings) {
-        result->findings.push_back({tu.path, cf.line, cf.rule, cf.message});
-      }
-      continue;
-    }
-    if (sources[i] == nullptr) {
-      // Cache hit, but the cross-file inputs of the intra analyses
-      // changed: re-tokenize and re-run them.
-      sources[i] = std::make_unique<SourceFile>();
-      LoadFromString(texts[i], tu.real_path, sources[i].get());
-    }
-    std::vector<Finding> local;
-    CheckLayering(tu, config, &local);
-    DataflowAnalyzer(*sources[i], fallible, &local).Run();
-    tu.intra_findings.clear();
-    for (const Finding& f : local) {
-      tu.intra_findings.push_back({f.line, f.rule, f.message});
-    }
-    tu.intra_fingerprint = fingerprint;
-    StoreCachedSummary(options.cache_dir, options.cache_salt, tu);
-    for (Finding& f : local) {
-      result->findings.push_back(std::move(f));
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sources[i] != nullptr) {
-      ++result->resummarized;
-    } else {
-      ++result->cached;
-    }
-  }
-
-  // LRU-bound the cache after all stores/loads of this run: eviction
-  // only affects the NEXT run's warmth, never this run's findings.
-  EnforceCacheBudget(options.cache_dir, options.cache_max_bytes);
-
-  CheckIncludeCycles(tus, &result->findings);
-  const CallGraph graph(tus);
-  RunConcurrencyChecks(graph, &result->findings);
-  std::sort(result->findings.begin(), result->findings.end());
-  result->findings.erase(
-      std::unique(result->findings.begin(), result->findings.end(),
-                  [](const Finding& a, const Finding& b) {
-                    return a.file == b.file && a.line == b.line &&
-                           a.rule == b.rule && a.message == b.message;
-                  }),
-      result->findings.end());
   return true;
 }
 
-int RunTree(const fs::path& root, const fs::path& config_path,
-            const fs::path& baseline_path, bool sarif_stdout,
-            const std::string& sarif_out, const AnalyzeOptions& options,
-            const std::vector<std::string>& explicit_paths) {
+// The whole analysis over a set of tokenized files:
+//   A. build one summary per TU (pass 1);
+//   B. derive the program-wide fallible registry from the summaries and
+//      run layering + the intra-procedural dataflow checks per file;
+//   C. link the summaries (pass 2) and run include-cycle + the four
+//      interprocedural concurrency checks.
+// Returns the findings sorted and de-duplicated.
+std::vector<Finding> Analyze(const std::vector<SourceFile>& sources,
+                             const LayerConfig& config) {
+  std::vector<TuSummary> tus;
+  tus.reserve(sources.size());
+  for (const SourceFile& source : sources) {
+    tus.push_back(BuildTuSummary(source));
+  }
+
+  std::vector<Finding> findings;
+  const std::set<std::string> fallible = BuildFallibleRegistry(tus);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    CheckLayering(tus[i], config, &findings);
+    DataflowAnalyzer(sources[i], fallible, &findings).Run();
+  }
+
+  CheckIncludeCycles(tus, &findings);
+  const CallGraph graph(tus);
+  RunConcurrencyChecks(graph, &findings);
+  std::sort(findings.begin(), findings.end());
+  findings.erase(std::unique(findings.begin(), findings.end(),
+                             [](const Finding& a, const Finding& b) {
+                               return a.file == b.file && a.line == b.line &&
+                                      a.rule == b.rule &&
+                                      a.message == b.message;
+                             }),
+                 findings.end());
+  return findings;
+}
+
+int RunTree(const fs::path& root) {
   LayerConfig config;
   std::string error;
-  if (!ParseLayersToml(config_path, &config, &error)) {
+  if (!ParseLayersToml(root / "tools" / "analyze" / "layers.toml", &config,
+                       &error)) {
     std::fprintf(stderr, "snor_analyze: %s\n", error.c_str());
     return 2;
   }
-  std::vector<std::string> paths = explicit_paths;
-  if (paths.empty()) paths = CollectTreeFiles(root);
+  const std::vector<std::string> paths = CollectTreeFiles(root);
   if (paths.empty()) {
     std::fprintf(stderr, "snor_analyze: no source files under %s\n",
                  root.generic_string().c_str());
     return 2;
   }
-  AnalyzeResult result;
-  if (!AnalyzePaths(paths, config, options, &result)) return 2;
-  ApplyBaseline(LoadBaseline(baseline_path), &result.findings);
-
-  std::size_t active = 0;
-  std::size_t baselined = 0;
-  for (const Finding& f : result.findings) {
-    if (f.baselined) {
-      ++baselined;
-      continue;
-    }
-    ++active;
-    if (!sarif_stdout) {
-      std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line,
-                  f.rule.c_str(), f.message.c_str());
-    }
+  std::vector<SourceFile> sources;
+  if (!LoadSources(paths, &sources)) return 2;
+  const std::vector<Finding> findings = Analyze(sources, config);
+  for (const Finding& f : findings) {
+    std::printf("%s:%d: [%s] %s\n", f.file.c_str(), f.line, f.rule.c_str(),
+                f.message.c_str());
   }
-  const std::string sarif = SarifReport(result.findings);
-  if (sarif_stdout) {
-    std::printf("%s\n", sarif.c_str());
-  }
-  if (!sarif_out.empty()) {
-    std::ofstream out(sarif_out, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "snor_analyze: cannot write %s\n",
-                   sarif_out.c_str());
-      return 2;
-    }
-    out << sarif << "\n";
-  }
-  if (!sarif_stdout) {
-    std::printf(
-        "snor_analyze: %zu file(s) (%zu re-summarized, %zu cached), "
-        "%zu finding(s) (%zu baselined)\n",
-        result.files, result.resummarized, result.cached,
-        active + baselined, baselined);
-  }
-  return active == 0 ? 0 : 1;
+  std::printf("snor_analyze: %zu file(s), %zu finding(s)\n", paths.size(),
+              findings.size());
+  return findings.empty() ? 0 : 1;
 }
 
 // Self-test: every `// EXPECT-ANALYZE: rule[,rule]` must match a finding
-// on that line, and no unannotated finding may appear. The self-test
-// never uses the summary cache: fixtures must always be analyzed from
-// source.
+// on that line, and no unannotated finding may appear.
 int SelfTest(const fs::path& dir) {
   std::vector<std::string> paths;
   for (const auto& entry : fs::recursive_directory_iterator(dir)) {
@@ -1341,17 +1070,16 @@ int SelfTest(const fs::path& dir) {
     return 2;
   }
 
-  AnalyzeResult result;
-  if (!AnalyzePaths(paths, config, AnalyzeOptions{}, &result)) return 2;
+  std::vector<SourceFile> sources;
+  if (!LoadSources(paths, &sources)) return 2;
+  const std::vector<Finding> findings = Analyze(sources, config);
 
   // Expectations, per real file and line, from comment tokens.
   int failures = 0;
   std::size_t matched = 0;
   std::map<std::string, std::map<int, std::set<std::string>>> expected;
   std::map<std::string, std::string> virtual_to_real;
-  for (const std::string& p : paths) {
-    SourceFile file;
-    if (!LoadFile(p, &file)) return 2;
+  for (const SourceFile& file : sources) {
     virtual_to_real[file.path] = file.real_path;
     for (const Token& tok : file.tokens) {
       if (tok.kind != Tok::kComment) continue;
@@ -1368,7 +1096,7 @@ int SelfTest(const fs::path& dir) {
   }
 
   std::map<std::string, std::map<int, std::set<std::string>>> actual;
-  for (const Finding& f : result.findings) {
+  for (const Finding& f : findings) {
     actual[f.file][f.line].insert(f.rule);
   }
 
@@ -1415,87 +1143,30 @@ int SelfTest(const fs::path& dir) {
 }  // namespace snor_analyze
 
 int main(int argc, char** argv) {
-  namespace fs = std::filesystem;
   std::string root = ".";
   std::string self_test_dir;
-  std::string config_flag;
-  std::string baseline_flag;
-  std::string sarif_out;
-  bool sarif_stdout = false;
-  snor_analyze::AnalyzeOptions options;
-  double fault_rate = 0.0;
-  std::uint64_t fault_seed = 1;
-  std::vector<std::string> explicit_paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
     } else if (arg == "--self-test" && i + 1 < argc) {
       self_test_dir = argv[++i];
-    } else if (arg == "--config" && i + 1 < argc) {
-      config_flag = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_flag = argv[++i];
-    } else if (arg == "--sarif-out" && i + 1 < argc) {
-      sarif_out = argv[++i];
-    } else if (arg == "--cache-dir" && i + 1 < argc) {
-      options.cache_dir = argv[++i];
-    } else if (arg == "--cache-salt" && i + 1 < argc) {
-      options.cache_salt = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--cache-max-bytes" && i + 1 < argc) {
-      options.cache_max_bytes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--fault-rate" && i + 1 < argc) {
-      fault_rate = std::strtod(argv[++i], nullptr);
-    } else if (arg == "--fault-seed" && i + 1 < argc) {
-      fault_seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--format=sarif") {
-      sarif_stdout = true;
-    } else if (arg == "--format=text") {
-      sarif_stdout = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: snor_analyze [--root DIR] [--config layers.toml]\n"
-          "                    [--baseline FILE] [--format=text|sarif]\n"
-          "                    [--sarif-out FILE] [--cache-dir DIR]\n"
-          "                    [--cache-salt N] [--cache-max-bytes N]\n"
-          "                    [--fault-rate P] [--fault-seed N]\n"
-          "                    [files...]\n"
+          "usage: snor_analyze [--root DIR]\n"
           "       snor_analyze --self-test FIXTURE_DIR\n"
           "Dependency-DAG, dataflow and whole-program concurrency\n"
           "analysis over src/, bench/, examples/, tests/ and tools/\n"
-          "(see tools/analyze/layers.toml).\n"
-          "--cache-dir enables the incremental summary cache;\n"
-          "--cache-max-bytes LRU-bounds it (0 = unbounded); --fault-rate\n"
-          "arms io-read and truncated-file faults on cache reads\n"
-          "(recovery testing).\n");
+          "(module DAG: DIR/tools/analyze/layers.toml).\n");
       return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "snor_analyze: unknown flag %s\n", arg.c_str());
-      return 2;
     } else {
-      explicit_paths.push_back(arg);
+      std::fprintf(stderr, "snor_analyze: unknown argument %s\n",
+                   arg.c_str());
+      return 2;
     }
   }
-
-  if (fault_rate > 0.0) {
-    snor::FaultInjector::Global().Arm(snor::FaultPoint::kIoRead, fault_rate,
-                                      fault_seed);
-    snor::FaultInjector::Global().Arm(snor::FaultPoint::kTruncatedFile,
-                                      fault_rate, fault_seed + 1);
-  }
-
   if (!self_test_dir.empty()) {
     return snor_analyze::SelfTest(self_test_dir);
   }
-  const fs::path config_path =
-      config_flag.empty() ? fs::path(root) / "tools" / "analyze" /
-                                "layers.toml"
-                          : fs::path(config_flag);
-  const fs::path baseline_path =
-      baseline_flag.empty() ? fs::path(root) / "tools" / "analyze" /
-                                  "baseline.txt"
-                            : fs::path(baseline_flag);
-  return snor_analyze::RunTree(root, config_path, baseline_path,
-                               sarif_stdout, sarif_out, options,
-                               explicit_paths);
+  return snor_analyze::RunTree(root);
 }

@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <sstream>
-
-#include "util/fault.h"
 
 namespace snor_analyze {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -764,7 +758,6 @@ class SummaryBuilder {
   TuSummary Build() {
     TuSummary out;
     out.path = file_.path;
-    out.real_path = file_.real_path;
     out.includes = file_.includes;
     out.nolint = file_.nolint;
     CollectRanks();
@@ -794,8 +787,8 @@ class SummaryBuilder {
     }
   }
 
-  // Status/Result-returning declarations (same scan the single-pass
-  // analyzer used globally, now per-TU so it caches).
+  // Status/Result-returning declarations of this TU; the driver unions
+  // them into the program-wide fallible registry.
   void CollectFallible(TuSummary* out) {
     const TokenView view(code_);
     for (std::size_t i = 0; i + 1 < code_.size(); ++i) {
@@ -1056,411 +1049,10 @@ class SummaryBuilder {
   std::map<int, int> rank_by_line_;
 };
 
-// -------------------------------------------------------- serialization --
-
-std::string JoinList(const std::vector<std::string>& items) {
-  if (items.empty()) return "-";
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += ',';
-    out += items[i];
-  }
-  return out;
-}
-
-std::vector<std::string> SplitList(const std::string& s) {
-  std::vector<std::string> out;
-  if (s == "-" || s.empty()) return out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::string OrDash(const std::string& s) { return s.empty() ? "-" : s; }
-std::string FromDash(const std::string& s) {
-  return s == "-" ? std::string() : s;
-}
-
-const char* PEvName(PEv kind) {
-  switch (kind) {
-    case PEv::kBranchOpen: return "bopen";
-    case PEv::kBranchElse: return "belse";
-    case PEv::kBranchClose: return "bclose";
-    case PEv::kLoopOpen: return "lopen";
-    case PEv::kLoopClose: return "lclose";
-    case PEv::kFulfilDirect: return "fulfil";
-    case PEv::kFulfilCall: return "fcall";
-    case PEv::kForward: return "fwd";
-    case PEv::kContinue: return "cont";
-    case PEv::kBreakOrReturn: return "exit";
-    case PEv::kEnd: return "end";
-  }
-  return "end";
-}
-
-bool PEvFromName(const std::string& name, PEv* out) {
-  static const std::map<std::string, PEv> kMap = {
-      {"bopen", PEv::kBranchOpen}, {"belse", PEv::kBranchElse},
-      {"bclose", PEv::kBranchClose}, {"lopen", PEv::kLoopOpen},
-      {"lclose", PEv::kLoopClose}, {"fulfil", PEv::kFulfilDirect},
-      {"fcall", PEv::kFulfilCall}, {"fwd", PEv::kForward},
-      {"cont", PEv::kContinue}, {"exit", PEv::kBreakOrReturn},
-      {"end", PEv::kEnd}};
-  auto it = kMap.find(name);
-  if (it == kMap.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-std::vector<std::string> SplitTabs(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t begin = 0;
-  while (true) {
-    const std::size_t tab = line.find('\t', begin);
-    if (tab == std::string::npos) {
-      fields.push_back(line.substr(begin));
-      break;
-    }
-    fields.push_back(line.substr(begin, tab - begin));
-    begin = tab + 1;
-  }
-  return fields;
-}
-
-bool ToInt(const std::string& s, int* out) {
-  try {
-    *out = std::stoi(s);
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-bool ToU64(const std::string& s, std::uint64_t* out) {
-  try {
-    *out = std::stoull(s);
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 TuSummary BuildTuSummary(const SourceFile& file) {
   return SummaryBuilder(file).Build();
-}
-
-std::string SerializeSummary(const TuSummary& s) {
-  std::ostringstream out;
-  out << "path\t" << s.path << "\n";
-  out << "real\t" << s.real_path << "\n";
-  out << "hash\t" << s.content_hash << "\n";
-  out << "fpr\t" << s.intra_fingerprint << "\n";
-  for (const IncludeDirective& inc : s.includes) {
-    out << "include\t" << inc.line << "\t" << inc.path << "\n";
-  }
-  for (const auto& [line, rules] : s.nolint) {
-    out << "nolint\t" << line << "\t"
-        << JoinList(std::vector<std::string>(rules.begin(), rules.end()))
-        << "\n";
-  }
-  for (const std::string& name : s.fallible) {
-    out << "fallible\t" << name << "\n";
-  }
-  for (const MutexDecl& m : s.mutexes) {
-    out << "mutex\t" << m.name << "\t" << OrDash(m.cls) << "\t" << m.rank
-        << "\t" << m.line << "\n";
-  }
-  for (const std::string& cv : s.condvars) {
-    out << "condvar\t" << cv << "\n";
-  }
-  for (const FunctionSummary& fn : s.functions) {
-    out << "fn\t" << fn.name << "\t" << OrDash(fn.cls) << "\t" << fn.line
-        << "\t" << JoinList(fn.params) << "\t" << (fn.is_noreturn ? 1 : 0)
-        << "\n";
-    for (const AcquireSite& a : fn.acquires) {
-      out << "acq\t" << a.mutex << "\t" << a.line << "\t"
-          << JoinList(a.held) << "\n";
-    }
-    for (const CallSite& c : fn.calls) {
-      out << "call\t" << c.callee << "\t" << c.line << "\t"
-          << JoinList(c.held) << "\n";
-    }
-    for (const BlockingSite& b : fn.blocking) {
-      out << "block\t" << b.line << "\t" << OrDash(b.released) << "\t"
-          << JoinList(b.held) << "\t" << b.what << "\n";
-    }
-    for (const WaitSite& w : fn.waits) {
-      out << "wait\t" << w.cv << "\t" << w.line << "\t"
-          << (w.has_predicate ? 1 : 0) << "\t" << (w.in_loop ? 1 : 0)
-          << "\n";
-    }
-    for (int p : fn.fulfils_params) {
-      out << "fulfils\t" << p << "\n";
-    }
-    for (const FunctionSummary::ParamPass& p : fn.passes) {
-      out << "pass\t" << p.param << "\t" << p.callee << "\t" << p.arg_index
-          << "\n";
-    }
-    for (const PromiseLoop& loop : fn.promise_loops) {
-      out << "ploop\t" << loop.line << "\n";
-      for (const PEvent& ev : loop.events) {
-        out << "pev\t" << PEvName(ev.kind) << "\t" << ev.line << "\t"
-            << OrDash(ev.var) << "\t" << OrDash(ev.callee) << "\t"
-            << ev.arg_index << "\n";
-      }
-    }
-  }
-  for (const CachedFinding& f : s.intra_findings) {
-    out << "finding\t" << f.line << "\t" << f.rule << "\t" << f.message
-        << "\n";
-  }
-  out << "end\n";
-  return out.str();
-}
-
-bool ParseSummary(const std::string& text, TuSummary* out) {
-  std::istringstream in(text);
-  std::string line;
-  FunctionSummary* fn = nullptr;
-  PromiseLoop* loop = nullptr;
-  bool terminated = false;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    const std::vector<std::string> f = SplitTabs(line);
-    const std::string& tag = f[0];
-    if (tag == "end") {
-      terminated = true;
-      break;
-    }
-    if (tag == "path" && f.size() >= 2) {
-      out->path = f[1];
-    } else if (tag == "real" && f.size() >= 2) {
-      out->real_path = f[1];
-    } else if (tag == "hash" && f.size() >= 2) {
-      if (!ToU64(f[1], &out->content_hash)) return false;
-    } else if (tag == "fpr" && f.size() >= 2) {
-      if (!ToU64(f[1], &out->intra_fingerprint)) return false;
-    } else if (tag == "include" && f.size() >= 3) {
-      int ln = 0;
-      if (!ToInt(f[1], &ln)) return false;
-      out->includes.push_back({f[2], ln});
-    } else if (tag == "nolint" && f.size() >= 3) {
-      int ln = 0;
-      if (!ToInt(f[1], &ln)) return false;
-      const std::vector<std::string> rules = SplitList(f[2]);
-      out->nolint[ln] = std::set<std::string>(rules.begin(), rules.end());
-    } else if (tag == "fallible" && f.size() >= 2) {
-      out->fallible.insert(f[1]);
-    } else if (tag == "mutex" && f.size() >= 5) {
-      MutexDecl m;
-      m.name = f[1];
-      m.cls = FromDash(f[2]);
-      if (!ToInt(f[3], &m.rank) || !ToInt(f[4], &m.line)) return false;
-      out->mutexes.push_back(std::move(m));
-    } else if (tag == "condvar" && f.size() >= 2) {
-      out->condvars.insert(f[1]);
-    } else if (tag == "fn" && f.size() >= 5) {
-      FunctionSummary next;
-      next.name = f[1];
-      next.cls = FromDash(f[2]);
-      if (!ToInt(f[3], &next.line)) return false;
-      next.params = SplitList(f[4]);
-      if (f.size() >= 6) {
-        int noret = 0;
-        if (!ToInt(f[5], &noret)) return false;
-        next.is_noreturn = noret != 0;
-      }
-      out->functions.push_back(std::move(next));
-      fn = &out->functions.back();
-      loop = nullptr;
-    } else if (tag == "acq" && fn != nullptr && f.size() >= 4) {
-      AcquireSite a;
-      a.mutex = f[1];
-      if (!ToInt(f[2], &a.line)) return false;
-      a.held = SplitList(f[3]);
-      fn->acquires.push_back(std::move(a));
-    } else if (tag == "call" && fn != nullptr && f.size() >= 4) {
-      CallSite c;
-      c.callee = f[1];
-      if (!ToInt(f[2], &c.line)) return false;
-      c.held = SplitList(f[3]);
-      fn->calls.push_back(std::move(c));
-    } else if (tag == "block" && fn != nullptr && f.size() >= 5) {
-      BlockingSite b;
-      if (!ToInt(f[1], &b.line)) return false;
-      b.released = FromDash(f[2]);
-      b.held = SplitList(f[3]);
-      b.what = f[4];
-      fn->blocking.push_back(std::move(b));
-    } else if (tag == "wait" && fn != nullptr && f.size() >= 5) {
-      WaitSite w;
-      w.cv = f[1];
-      int pred = 0;
-      int in_loop = 0;
-      if (!ToInt(f[2], &w.line) || !ToInt(f[3], &pred) ||
-          !ToInt(f[4], &in_loop)) {
-        return false;
-      }
-      w.has_predicate = pred != 0;
-      w.in_loop = in_loop != 0;
-      fn->waits.push_back(std::move(w));
-    } else if (tag == "fulfils" && fn != nullptr && f.size() >= 2) {
-      int p = 0;
-      if (!ToInt(f[1], &p)) return false;
-      fn->fulfils_params.push_back(p);
-    } else if (tag == "pass" && fn != nullptr && f.size() >= 4) {
-      FunctionSummary::ParamPass p;
-      if (!ToInt(f[1], &p.param) || !ToInt(f[3], &p.arg_index)) return false;
-      p.callee = f[2];
-      fn->passes.push_back(std::move(p));
-    } else if (tag == "ploop" && fn != nullptr && f.size() >= 2) {
-      PromiseLoop next;
-      if (!ToInt(f[1], &next.line)) return false;
-      fn->promise_loops.push_back(std::move(next));
-      loop = &fn->promise_loops.back();
-    } else if (tag == "pev" && loop != nullptr && f.size() >= 6) {
-      PEvent ev;
-      if (!PEvFromName(f[1], &ev.kind)) return false;
-      if (!ToInt(f[2], &ev.line) || !ToInt(f[5], &ev.arg_index)) {
-        return false;
-      }
-      ev.var = FromDash(f[3]);
-      ev.callee = FromDash(f[4]);
-      loop->events.push_back(std::move(ev));
-    } else if (tag == "finding" && f.size() >= 4) {
-      CachedFinding cf;
-      if (!ToInt(f[1], &cf.line)) return false;
-      cf.rule = f[2];
-      // The message is everything after the third tab, verbatim.
-      const std::size_t t1 = line.find('\t');
-      const std::size_t t2 = line.find('\t', t1 + 1);
-      const std::size_t t3 = line.find('\t', t2 + 1);
-      cf.message = line.substr(t3 + 1);
-      out->intra_findings.push_back(std::move(cf));
-    }
-    // Unknown tags are ignored (forward-compatible within a version).
-  }
-  return terminated;
-}
-
-std::string CacheEntryName(const std::string& tu_path) {
-  std::string flat;
-  flat.reserve(tu_path.size());
-  for (char c : tu_path) {
-    flat.push_back(
-        (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '.' ||
-         c == '-' || c == '_')
-            ? c
-            : '_');
-  }
-  // Paths can collide after flattening; the content hash of the path
-  // disambiguates.
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), "-%016llx.sum",
-                static_cast<unsigned long long>(Fnv1a(tu_path)));
-  return flat + suffix;
-}
-
-bool LoadCachedSummary(const fs::path& cache_dir, std::uint64_t salt,
-                       const std::string& tu_path,
-                       std::uint64_t expected_hash, TuSummary* out) {
-  if (cache_dir.empty()) return false;
-  const fs::path entry = cache_dir / CacheEntryName(tu_path);
-  std::error_code ec;
-  if (!fs::exists(entry, ec) || ec) return false;
-  // The cache read reuses the project fault points so corrupted-cache
-  // recovery is testable the same way gallery IO is.
-  if (!snor::InjectFault(snor::FaultPoint::kIoRead,
-                         "analyze summary cache read")
-           .ok()) {
-    return false;
-  }
-  std::ifstream in(entry, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
-  if (snor::FaultFires(snor::FaultPoint::kTruncatedFile)) {
-    text.resize(text.size() / 2);
-  }
-  // Header: "snor-analyze-cache <version> <salt>".
-  const std::size_t eol = text.find('\n');
-  if (eol == std::string::npos) return false;
-  std::istringstream header(text.substr(0, eol));
-  std::string magic;
-  int version = 0;
-  std::uint64_t file_salt = 0;
-  if (!(header >> magic >> version >> file_salt)) return false;
-  if (magic != "snor-analyze-cache") return false;
-  if (version != kSummaryFormatVersion || file_salt != salt) return false;
-  TuSummary parsed;
-  if (!ParseSummary(text.substr(eol + 1), &parsed)) return false;
-  if (parsed.real_path != tu_path) return false;
-  if (parsed.content_hash != expected_hash) return false;
-  // LRU touch for --cache-max-bytes eviction: hot entries stay, cold
-  // ones age out (best-effort; a failed touch only biases eviction).
-  fs::last_write_time(entry, fs::file_time_type::clock::now(), ec);
-  *out = std::move(parsed);
-  return true;
-}
-
-void StoreCachedSummary(const fs::path& cache_dir, std::uint64_t salt,
-                        const TuSummary& summary) {
-  if (cache_dir.empty()) return;
-  std::error_code ec;
-  fs::create_directories(cache_dir, ec);
-  const fs::path entry = cache_dir / CacheEntryName(summary.real_path);
-  std::ofstream out(entry, std::ios::binary | std::ios::trunc);
-  if (!out) return;
-  out << "snor-analyze-cache " << kSummaryFormatVersion << " " << salt
-      << "\n";
-  out << SerializeSummary(summary);
-}
-
-void EnforceCacheBudget(const fs::path& cache_dir, std::uint64_t max_bytes) {
-  if (max_bytes == 0 || cache_dir.empty()) return;
-  std::error_code ec;
-  if (!fs::exists(cache_dir, ec) || ec) return;
-  struct Entry {
-    fs::path path;
-    std::uint64_t size = 0;
-    fs::file_time_type mtime;
-  };
-  std::vector<Entry> entries;
-  std::uint64_t total = 0;
-  for (const auto& de : fs::directory_iterator(cache_dir, ec)) {
-    if (ec) return;
-    std::error_code fec;
-    if (!de.is_regular_file(fec) || fec) continue;
-    if (de.path().extension() != ".sum") continue;
-    Entry e;
-    e.path = de.path();
-    e.size = de.file_size(fec);
-    if (fec) continue;
-    e.mtime = fs::last_write_time(e.path, fec);
-    if (fec) continue;
-    total += e.size;
-    entries.push_back(std::move(e));
-  }
-  if (total <= max_bytes) return;
-  // Oldest mtime first = least recently used (loads touch on hit);
-  // name-ordered ties keep eviction deterministic.
-  std::sort(entries.begin(), entries.end(), [](const Entry& a,
-                                               const Entry& b) {
-    if (a.mtime != b.mtime) return a.mtime < b.mtime;
-    return a.path.filename().string() < b.path.filename().string();
-  });
-  for (const Entry& e : entries) {
-    if (total <= max_bytes) break;
-    std::error_code rec;
-    if (fs::remove(e.path, rec) && !rec) total -= e.size;
-  }
 }
 
 }  // namespace snor_analyze

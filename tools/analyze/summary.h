@@ -6,17 +6,9 @@
 // needs to reason across files — functions defined, calls made (with
 // the set of locks held at the call site), lock acquisitions and their
 // nesting, blocking primitives, condition-variable waits, and
-// promise-fulfilment flow events.
-//
-// Summaries serialize to a line-oriented text format and are cached on
-// disk keyed by file content hash (tools/analyze cache dir), so a warm
-// incremental run never re-tokenizes an unchanged TU. The cache header
-// carries the summary-format version plus a user salt; either changing
-// invalidates every entry (analyzer upgrades must never reuse stale
-// summaries).
+// promise-fulfilment flow events. Summaries live only for one run:
+// the driver builds them from freshly tokenized files every time.
 
-#include <cstdint>
-#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -25,11 +17,6 @@
 #include "lexer.h"
 
 namespace snor_analyze {
-
-// Bumped whenever the summary format or extraction semantics change;
-// cached summaries from older versions are rejected wholesale.
-// v3: the borrowed-view facts of v2 are gone.
-inline constexpr int kSummaryFormatVersion = 3;
 
 /// A mutex (or other lockable) declaration. `rank` comes from a
 /// `LOCK_RANK(n)` comment on the declaration line; -1 = unranked.
@@ -135,30 +122,15 @@ struct FunctionSummary {
   std::vector<ParamPass> passes;
 };
 
-/// A finding from the intra-procedural analyses, cached alongside the
-/// summary so a warm run can replay them without re-tokenizing. Only
-/// valid while the whole-tree fingerprint (fallible registry + layer
-/// config) matches.
-struct CachedFinding {
-  int line = 0;
-  std::string rule;
-  std::string message;
-};
-
-/// Per-translation-unit summary: the unit of caching.
+/// Per-translation-unit summary.
 struct TuSummary {
-  std::string path;       // Virtual path (ANALYZE-AS aware).
-  std::string real_path;  // Path on disk.
-  std::uint64_t content_hash = 0;
+  std::string path;  // Virtual path (ANALYZE-AS aware).
   std::vector<IncludeDirective> includes;
   std::map<int, std::set<std::string>> nolint;
   std::set<std::string> fallible;  // Status/Result-returning decl names.
   std::vector<MutexDecl> mutexes;
   std::set<std::string> condvars;  // condition_variable member/local names.
   std::vector<FunctionSummary> functions;
-  std::vector<CachedFinding> intra_findings;
-  // Fingerprint of cross-file inputs the intra findings depended on.
-  std::uint64_t intra_fingerprint = 0;
 
   bool Suppressed(int line, const std::string& rule) const {
     auto it = nolint.find(line);
@@ -167,43 +139,8 @@ struct TuSummary {
   }
 };
 
-/// Extracts a summary from a tokenized file (pass 1). `content_hash`
-/// and `intra_findings` are filled in by the driver.
+/// Extracts a summary from a tokenized file (pass 1).
 [[nodiscard]] TuSummary BuildTuSummary(const SourceFile& file);
-
-/// Serializes to the line-oriented cache format (also used by tests to
-/// diff summaries).
-std::string SerializeSummary(const TuSummary& summary);
-
-/// Parses a serialized summary; false on any malformed input (the
-/// caller treats that as a cache miss, never an error).
-bool ParseSummary(const std::string& text, TuSummary* out);
-
-/// Cache file name for a TU path (path-shaped bytes flattened + hash).
-std::string CacheEntryName(const std::string& tu_path);
-
-/// Loads a cached summary; true only when the entry exists, parses, and
-/// matches `expected_hash` + the current format version + `salt`.
-/// Read failures (including injected io-read/truncated-file faults)
-/// are cache misses.
-[[nodiscard]] bool LoadCachedSummary(const std::filesystem::path& cache_dir,
-                                     std::uint64_t salt,
-                                     const std::string& tu_path,
-                                     std::uint64_t expected_hash,
-                                     TuSummary* out);
-
-/// Writes a summary to the cache (best-effort; failures are ignored —
-/// the next run just re-summarizes).
-void StoreCachedSummary(const std::filesystem::path& cache_dir,
-                        std::uint64_t salt, const TuSummary& summary);
-
-/// Bounds the on-disk cache: evicts least-recently-used `.sum` entries
-/// (by mtime — LoadCachedSummary bumps it on every hit, ties broken by
-/// name) until the directory's total entry size is at or below
-/// `max_bytes`. Eviction can only make a later run colder (evicted TUs
-/// re-summarize), never change its findings. 0 = unbounded, no-op.
-void EnforceCacheBudget(const std::filesystem::path& cache_dir,
-                        std::uint64_t max_bytes);
 
 }  // namespace snor_analyze
 
