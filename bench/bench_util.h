@@ -1,14 +1,11 @@
 #ifndef SNOR_BENCH_BENCH_UTIL_H_
 #define SNOR_BENCH_BENCH_UTIL_H_
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <system_error>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -29,24 +26,6 @@ namespace snor::bench {
 inline bool QuickMode() {
   const char* env = std::getenv("SNOR_QUICK");
   return env != nullptr && env[0] != '\0' && std::string(env) != "0";
-}
-
-/// Parses a whole numeric flag value into `*out`: false (and `*out`
-/// untouched) when `text` is empty, has trailing characters, is out of
-/// range for `T` (a negative value for an unsigned `T` included) or, for
-/// floating-point `T`, is not finite. Integer `T` accepts only whole
-/// decimal numbers.
-template <typename T>
-[[nodiscard]] bool ParseFlagValue(const char* text, T* out) {
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return false;
-  }
-  *out = value;
-  return true;
 }
 
 /// Experiment configuration honouring SNOR_QUICK.

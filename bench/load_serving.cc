@@ -567,7 +567,7 @@ int main(int argc, char** argv) {
     // the rates and the deadline) is a usage error.
     const auto number = [&](const char* flag, auto* out) {
       const char* value = next(flag);
-      if (!snor::bench::ParseFlagValue(value, out)) {
+      if (!snor::ParseFlagValue(value, out)) {
         std::fprintf(stderr, "bad %s %s (want a number)\n", flag, value);
         std::exit(2);
       }

@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
   std::string store_dir;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc &&
-        bench::ParseFlagValue(argv[i + 1], &fault_seed)) {
+        ParseFlagValue(argv[i + 1], &fault_seed)) {
       faults_armed = true;
       ++i;
     } else if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc &&
-               bench::ParseFlagValue(argv[i + 1], &fault_rate)) {
+               ParseFlagValue(argv[i + 1], &fault_rate)) {
       ++i;
     } else if (std::strcmp(argv[i], "--feature-store") == 0 && i + 1 < argc) {
       store_dir = argv[++i];

@@ -8,11 +8,12 @@
 // Fault tolerance: frame ingestion goes through bounded
 // retry-with-backoff; a frame that stays unavailable is dropped and
 // counted, never crashing the patrol. Arm a deterministic ingestion
-// fault rate with `--fault-seed N [--fault-rate R]` to watch it degrade
-// gracefully.
+// fault with `--fault-seed N` and/or `--fault-rate R` (defaults: seed 7,
+// rate 0.3) to watch it degrade gracefully. A malformed value exits 2.
 //
 // Run: ./build/examples/robot_patrol [--fault-seed N] [--fault-rate R]
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -25,6 +26,7 @@
 #include "data/scene.h"
 #include "util/fault.h"
 #include "util/retry.h"
+#include "util/string_util.h"
 #include "util/table.h"
 
 namespace snor {
@@ -46,15 +48,29 @@ Result<Scene> IngestFrame(int frame_id) {
 int main(int argc, char** argv) {
   using namespace snor;
 
+  // Both flags are parsed before arming, so their order does not matter.
+  bool faults_armed = false;
+  std::uint64_t fault_seed = 7;
+  double fault_rate = 0.3;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      FaultInjector::Global().Arm(FaultPoint::kIoRead, 0.3,
-                                  std::strtoull(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--fault-rate") == 0 && i + 1 < argc) {
-      // Re-arm with the explicit rate, keeping the last seed given.
-      FaultInjector::Global().Arm(FaultPoint::kIoRead,
-                                  std::strtod(argv[++i], nullptr), 7);
+    const bool is_seed = std::strcmp(argv[i], "--fault-seed") == 0;
+    const bool is_rate = std::strcmp(argv[i], "--fault-rate") == 0;
+    const bool parsed =
+        i + 1 < argc &&
+        ((is_seed && ParseFlagValue(argv[i + 1], &fault_seed)) ||
+         (is_rate && ParseFlagValue(argv[i + 1], &fault_rate) &&
+          fault_rate >= 0.0 && fault_rate <= 1.0));
+    if (!parsed) {
+      std::fprintf(stderr,
+                   "usage: %s [--fault-seed N] [--fault-rate R in [0,1]]\n",
+                   argv[0]);
+      return 2;
     }
+    faults_armed = true;
+    ++i;
+  }
+  if (faults_armed) {
+    FaultInjector::Global().Arm(FaultPoint::kIoRead, fault_rate, fault_seed);
   }
 
   // Reference gallery + classifier (hybrid, paper's best configuration).

@@ -25,6 +25,7 @@
 #include "obs/trace.h"
 #include "serve/service.h"
 #include "util/fault.h"
+#include "util/string_util.h"
 
 namespace snor::serve {
 namespace {
@@ -222,10 +223,21 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--introspect-port") == 0) {
-      daemon.introspect_port = static_cast<int>(
-          std::strtol(next("--introspect-port"), nullptr, 10));
+      const char* value = next("--introspect-port");
+      if (!snor::ParseFlagValue(value, &daemon.introspect_port) ||
+          daemon.introspect_port < 0 || daemon.introspect_port > 65535) {
+        std::fprintf(stderr, "bad --introspect-port %s (want 0-65535)\n",
+                     value);
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--linger-s") == 0) {
-      daemon.linger_s = std::strtod(next("--linger-s"), nullptr);
+      const char* value = next("--linger-s");
+      if (!snor::ParseFlagValue(value, &daemon.linger_s) ||
+          daemon.linger_s < 0.0) {
+        std::fprintf(stderr, "bad --linger-s %s (want seconds >= 0)\n",
+                     value);
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "usage: %s [--introspect-port P] [--linger-s S]\n",
                    argv[0]);

@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <fstream>
 
+#include "obs/lock_rank.h"
 #include "util/fault.h"
 #include "util/string_util.h"
 
 namespace snor {
 
 Status WritePnm(const ImageU8& img, const std::string& path) {
+  obs::AssertNoRankedLockHeld("WritePnm");
   if (img.empty()) return Status::InvalidArgument("empty image");
   if (img.channels() != 1 && img.channels() != 3) {
     return Status::InvalidArgument(
@@ -79,6 +81,7 @@ Result<int> NextInt(std::istream& in) {
 }  // namespace
 
 Result<ImageU8> ReadPnm(const std::string& path) {
+  obs::AssertNoRankedLockHeld("ReadPnm");
   SNOR_RETURN_NOT_OK(InjectFault(FaultPoint::kIoRead, "ReadPnm " + path));
   std::ifstream file(path, std::ios::binary);
   if (!file) return Status::IoError("cannot open for reading: " + path);

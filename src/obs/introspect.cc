@@ -82,7 +82,7 @@ IntrospectServer::IntrospectServer() {
 IntrospectServer::~IntrospectServer() { Stop(); }
 
 void IntrospectServer::Register(const std::string& path, Handler handler) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   handlers_[path] = std::move(handler);
 }
 
@@ -146,7 +146,7 @@ void IntrospectServer::Serve() {
 IntrospectResponse IntrospectServer::Dispatch(const std::string& path) {
   Handler handler;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<RankedMutex> lock(mutex_);
     auto it = handlers_.find(path);
     if (it != handlers_.end()) handler = it->second;
   }
@@ -157,7 +157,7 @@ IntrospectResponse IntrospectServer::Dispatch(const std::string& path) {
   response.status = 404;
   std::string endpoints;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<RankedMutex> lock(mutex_);
     for (const auto& [known_path, unused] : handlers_) {
       if (!endpoints.empty()) endpoints += ",";
       endpoints += "\"" + known_path + "\"";

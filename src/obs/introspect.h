@@ -31,6 +31,8 @@
 #include <string>
 #include <thread>
 
+#include "obs/lock_rank.h"
+
 namespace snor::obs {
 
 /// \brief One endpoint's reply.
@@ -73,7 +75,7 @@ class IntrospectServer {
   void HandleConnection(int fd);
   IntrospectResponse Dispatch(const std::string& path);
 
-  mutable std::mutex mutex_;  // LOCK_RANK(15)
+  mutable RankedMutex mutex_{LockRank::kIntrospectServer};
   std::map<std::string, Handler> handlers_;  // GUARDED_BY(mutex_)
   std::thread thread_;  // GUARDED_BY(caller): Start/Stop are serialized.
   std::atomic<bool> running_{false};

@@ -206,7 +206,7 @@ MetricsRegistry& MetricsRegistry::Global() {
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
@@ -216,7 +216,7 @@ Counter& MetricsRegistry::counter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
@@ -230,7 +230,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_
@@ -242,14 +242,14 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
 }
 
 void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   for (const auto& [name, counter] : counters_) counter->Reset();
   for (const auto& [name, gauge] : gauges_) gauge->Reset();
   for (const auto& [name, histogram] : histograms_) histogram->Reset();
 }
 
 std::string MetricsRegistry::DumpText() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   std::string out;
   char line[256];
   for (const auto& [name, counter] : counters_) {
@@ -275,7 +275,7 @@ std::string MetricsRegistry::DumpText() const {
 }
 
 std::string MetricsRegistry::DumpJson() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   JsonWriter json;
   json.BeginObject();
   json.Key("counters");

@@ -25,6 +25,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/lock_rank.h"
+
 namespace snor::obs {
 
 /// True when `name` follows the `layer.stage.detail` convention: at least
@@ -165,7 +167,7 @@ class MetricsRegistry {
   std::string DumpJson() const;
 
  private:
-  mutable std::mutex mutex_;  // LOCK_RANK(40)
+  mutable RankedMutex mutex_{LockRank::kMetricsRegistry};
   std::map<std::string, std::unique_ptr<Counter>, std::less<>>
       counters_;  // GUARDED_BY(mutex_)
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>>

@@ -52,7 +52,7 @@ void SloMonitor::Record(bool ok, double latency_us) {
 
 void SloMonitor::RecordAt(bool ok, double latency_us, std::uint64_t now_s) {
   const bool fast = ok && latency_us <= options_.latency_threshold_us;
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   Bucket& bucket = BucketForLocked(now_s);
   ++bucket.total;
   ++total_;
@@ -71,7 +71,7 @@ SloMonitor::Snapshot SloMonitor::snapshot() const {
 }
 
 SloMonitor::Snapshot SloMonitor::SnapshotAt(std::uint64_t now_s) const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   Snapshot snap;
   snap.total = total_;
   snap.ok = ok_;
@@ -122,7 +122,7 @@ SloMonitor::Snapshot SloMonitor::SnapshotAt(std::uint64_t now_s) const {
 }
 
 void SloMonitor::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   std::fill(ring_.begin(), ring_.end(), Bucket{});
   total_ = 0;
   ok_ = 0;

@@ -32,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/lock_rank.h"
+
 namespace snor::obs {
 
 /// \brief Objectives and window geometry for an SloMonitor.
@@ -120,7 +122,7 @@ class SloMonitor {
 
   Bucket& BucketForLocked(std::uint64_t now_s);
 
-  mutable std::mutex mutex_;  // LOCK_RANK(35)
+  mutable RankedMutex mutex_{LockRank::kSloMonitor};
   const SloOptions options_;
   std::vector<Bucket> ring_;  // GUARDED_BY(mutex_)
   std::uint64_t total_ = 0;  // GUARDED_BY(mutex_)

@@ -79,7 +79,7 @@ struct TraceRecorder::ThreadBuffer {
   ThreadBuffer(int tid_in, std::size_t capacity_in)
       : tid(tid_in), capacity(capacity_in == 0 ? 1 : capacity_in) {}
 
-  mutable std::mutex mutex;  // LOCK_RANK(30): nests inside registry_mutex_.
+  mutable RankedMutex mutex{LockRank::kTraceThreadBuffer};
   const int tid;
   const std::size_t capacity;
   std::vector<TraceEvent> ring;  // Grows lazily up to `capacity`.
@@ -87,7 +87,7 @@ struct TraceRecorder::ThreadBuffer {
   std::uint64_t overwritten = 0;
 
   void Push(const TraceEvent& event) {
-    std::lock_guard<std::mutex> lock(mutex);
+    std::lock_guard<RankedMutex> lock(mutex);
     if (ring.size() < capacity) {
       ring.push_back(event);
     } else {
@@ -98,7 +98,7 @@ struct TraceRecorder::ThreadBuffer {
   }
 
   void AppendInOrder(std::vector<TraceEvent>* out) const {
-    std::lock_guard<std::mutex> lock(mutex);
+    std::lock_guard<RankedMutex> lock(mutex);
     // Oldest-first: once wrapped, the oldest live event sits at `head`.
     for (std::size_t i = 0; i < ring.size(); ++i) {
       out->push_back(ring[(head + i) % ring.size()]);
@@ -106,7 +106,7 @@ struct TraceRecorder::ThreadBuffer {
   }
 
   void Clear() {
-    std::lock_guard<std::mutex> lock(mutex);
+    std::lock_guard<RankedMutex> lock(mutex);
     ring.clear();
     head = 0;
     overwritten = 0;
@@ -128,23 +128,23 @@ void TraceRecorder::Disable() {
 }
 
 void TraceRecorder::Reset() {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<RankedMutex> lock(registry_mutex_);
   for (const auto& buffer : buffers_) buffer->Clear();
   recorded_.store(0, std::memory_order_relaxed);
 }
 
 void TraceRecorder::set_output_path(std::string path) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<RankedMutex> lock(registry_mutex_);
   output_path_ = std::move(path);
 }
 
 std::string TraceRecorder::output_path() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<RankedMutex> lock(registry_mutex_);
   return output_path_;
 }
 
 void TraceRecorder::set_buffer_capacity(std::size_t events) {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<RankedMutex> lock(registry_mutex_);
   buffer_capacity_ = events == 0 ? 1 : events;
 }
 
@@ -159,7 +159,7 @@ TraceRecorder::ThreadBuffer* TraceRecorder::BufferForThisThread() {
   // pointer stays valid for the thread's lifetime.
   thread_local ThreadBuffer* tls_buffer = nullptr;
   if (tls_buffer != nullptr) return tls_buffer;
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<RankedMutex> lock(registry_mutex_);
   buffers_.push_back(
       std::make_unique<ThreadBuffer>(CurrentThreadId(), buffer_capacity_));
   tls_buffer = buffers_.back().get();
@@ -202,7 +202,7 @@ void TraceRecorder::RecordInstant(const char* name) {
 }
 
 std::size_t TraceRecorder::thread_count() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<RankedMutex> lock(registry_mutex_);
   return buffers_.size();
 }
 
@@ -211,17 +211,17 @@ std::uint64_t TraceRecorder::recorded_count() const {
 }
 
 std::uint64_t TraceRecorder::dropped_count() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<RankedMutex> lock(registry_mutex_);
   std::uint64_t dropped = 0;
   for (const auto& buffer : buffers_) {
-    std::lock_guard<std::mutex> buffer_lock(buffer->mutex);
+    std::lock_guard<RankedMutex> buffer_lock(buffer->mutex);
     dropped += buffer->overwritten;
   }
   return dropped;
 }
 
 std::vector<TraceEvent> TraceRecorder::Snapshot() const {
-  std::lock_guard<std::mutex> lock(registry_mutex_);
+  std::lock_guard<RankedMutex> lock(registry_mutex_);
   std::vector<TraceEvent> events;
   for (const auto& buffer : buffers_) buffer->AppendInOrder(&events);
   return events;
@@ -399,7 +399,7 @@ RequestTraceStore& RequestTraceStore::Global() {
 
 void RequestTraceStore::Enable(const RequestTraceOptions& options) {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<RankedMutex> lock(mutex_);
     options_ = options;
   }
   // Spans are the raw material of request traces, so collection implies
@@ -415,7 +415,7 @@ void RequestTraceStore::Disable() {
 void RequestTraceStore::Offer(const TraceEvent& event) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
   if (event.request_id == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   auto it = pending_.find(event.request_id);
   if (it == pending_.end()) {
     if (pending_.size() >= options_.max_pending && !pending_.empty()) {
@@ -435,7 +435,7 @@ void RequestTraceStore::Offer(const TraceEvent& event) {
 void RequestTraceStore::Finish(std::uint64_t request_id, bool error,
                                bool deadline_exceeded, double latency_us) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   ++stats_.finished;
   std::vector<TraceEvent> spans;
   auto it = pending_.find(request_id);
@@ -481,12 +481,12 @@ void RequestTraceStore::KeepLocked(RequestTrace trace) {
 }
 
 RequestTraceStore::Stats RequestTraceStore::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   return stats_;
 }
 
 std::vector<RequestTrace> RequestTraceStore::Kept() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   return std::vector<RequestTrace>(kept_.begin(), kept_.end());
 }
 
@@ -494,7 +494,7 @@ std::string RequestTraceStore::TracezJson() const {
   std::vector<RequestTrace> kept;
   Stats stats;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<RankedMutex> lock(mutex_);
     kept.assign(kept_.begin(), kept_.end());
     stats = stats_;
   }
@@ -551,7 +551,7 @@ std::string RequestTraceStore::TracezJson() const {
 }
 
 void RequestTraceStore::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<RankedMutex> lock(mutex_);
   pending_.clear();
   kept_.clear();
   stats_ = Stats{};

@@ -53,6 +53,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/lock_rank.h"
+
 #ifndef SNOR_TRACE_COMPILED
 #define SNOR_TRACE_COMPILED 1
 #endif
@@ -200,7 +202,7 @@ class TraceRecorder {
   ThreadBuffer* BufferForThisThread();
   void Push(const TraceEvent& event);
 
-  mutable std::mutex registry_mutex_;  // LOCK_RANK(20)
+  mutable RankedMutex registry_mutex_{LockRank::kTraceRegistry};
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;  // GUARDED_BY(registry_mutex_)
   std::string output_path_;  // GUARDED_BY(registry_mutex_)
   std::size_t buffer_capacity_ = 65536;  // GUARDED_BY(registry_mutex_)
@@ -355,7 +357,7 @@ class RequestTraceStore {
  private:
   void KeepLocked(RequestTrace trace);
 
-  mutable std::mutex mutex_;  // LOCK_RANK(25)
+  mutable RankedMutex mutex_{LockRank::kRequestTraceStore};
   RequestTraceOptions options_;  // GUARDED_BY(mutex_)
   std::map<std::uint64_t, std::vector<TraceEvent>>
       pending_;  // GUARDED_BY(mutex_)

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "obs/lock_rank.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/atomic_file.h"
@@ -189,6 +190,7 @@ Status SaveFeatureBank(const std::string& path,
 
 Result<std::vector<ImageFeatures>> LoadFeatureBank(
     const std::string& path, std::uint64_t expected_fingerprint) {
+  obs::AssertNoRankedLockHeld("LoadFeatureBank");
   SNOR_TRACE_SPAN("serve.store.load");
   static obs::Histogram& load_latency_us =
       obs::MetricsRegistry::Global().histogram("serve.store.load_latency_us");

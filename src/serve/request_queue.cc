@@ -4,9 +4,43 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "util/check.h"
 #include "util/string_util.h"
 
 namespace snor::serve {
+
+ReplyOnce::ReplyOnce(ReplyOnce&& other) noexcept
+    : promise_(std::exchange(other.promise_, std::nullopt)) {}
+
+ReplyOnce& ReplyOnce::operator=(ReplyOnce&& other) noexcept {
+  if (this != &other) {
+    DropIfArmed();
+    promise_ = std::exchange(other.promise_, std::nullopt);
+  }
+  return *this;
+}
+
+ReplyOnce::~ReplyOnce() { DropIfArmed(); }
+
+std::future<Result<ServiceReply>> ReplyOnce::Arm() {
+  SNOR_CHECK_MSG(!armed(), "ReplyOnce armed twice");
+  return promise_.emplace().get_future();
+}
+
+void ReplyOnce::Answer(Result<ServiceReply> result) && {
+  SNOR_CHECK_MSG(armed(), "ReplyOnce answered while empty");
+  promise_->set_value(std::move(result));
+  promise_.reset();
+}
+
+void ReplyOnce::DropIfArmed() {
+  if (!armed()) return;
+  static obs::Counter& dropped = obs::MetricsRegistry::Global().counter(
+      "serve.service.dropped_replies");
+  dropped.Increment();
+  std::move(*this).Answer(
+      Result<ServiceReply>(Status::Internal("dropped reply")));
+}
 
 RequestQueue::RequestQueue(const RequestQueueOptions& options)
     : options_(options) {
@@ -25,7 +59,7 @@ Status RequestQueue::Enqueue(QueuedRequest& request) {
       obs::MetricsRegistry::Global().counter("serve.queue.enqueued");
   static obs::Gauge& depth_gauge =
       obs::MetricsRegistry::Global().gauge("serve.queue.depth");
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<obs::RankedMutex> lock(mutex_);
   if (closed_) {
     return Status::Unavailable(
         "request queue is draining (closed to new admissions)");
@@ -44,15 +78,15 @@ Status RequestQueue::Enqueue(QueuedRequest& request) {
   ++stats_.enqueued;
   enqueued_counter.Increment();
   depth_gauge.Set(static_cast<double>(queue_.size()));
-  cv_.notify_one();
+  cv_.NotifyOne();
   return Status::OK();
 }
 
 std::vector<QueuedRequest> RequestQueue::PopBatch(std::size_t max_batch) {
   static obs::Gauge& depth_gauge =
       obs::MetricsRegistry::Global().gauge("serve.queue.depth");
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
+  std::unique_lock<obs::RankedMutex> lock(mutex_);
+  cv_.WaitFor(lock, [&] { return closed_ || !queue_.empty(); });
   const std::size_t n =
       std::min(max_batch == 0 ? std::size_t{1} : max_batch, queue_.size());
   std::vector<QueuedRequest> batch;
@@ -68,24 +102,24 @@ std::vector<QueuedRequest> RequestQueue::PopBatch(std::size_t max_batch) {
 
 void RequestQueue::Close() {
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<obs::RankedMutex> lock(mutex_);
     closed_ = true;
   }
-  cv_.notify_all();
+  cv_.NotifyAll();
 }
 
 std::size_t RequestQueue::depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<obs::RankedMutex> lock(mutex_);
   return queue_.size();
 }
 
 bool RequestQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<obs::RankedMutex> lock(mutex_);
   return closed_;
 }
 
 RequestQueueStats RequestQueue::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<obs::RankedMutex> lock(mutex_);
   return stats_;
 }
 

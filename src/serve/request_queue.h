@@ -20,15 +20,16 @@
 /// dropped.
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/feature_cache.h"
+#include "obs/lock_rank.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
@@ -44,9 +45,39 @@ struct ServiceReply {
   double queue_wait_ms = 0.0;
 };
 
+/// \brief The one reply a request owes its caller. Move-only. An armed
+/// handle is answered exactly once: by `Answer`, or, if it is destroyed
+/// first, with `Internal("dropped reply")`, counted in the
+/// `serve.service.dropped_replies` metric. A default-constructed or
+/// moved-from handle is empty: it never replies and never counts.
+class ReplyOnce {
+ public:
+  ReplyOnce() = default;
+  ReplyOnce(ReplyOnce&& other) noexcept;
+  ReplyOnce& operator=(ReplyOnce&& other) noexcept;
+  ReplyOnce(const ReplyOnce&) = delete;
+  ReplyOnce& operator=(const ReplyOnce&) = delete;
+  ~ReplyOnce();
+
+  /// Arms an empty handle and returns the future its reply fulfils.
+  [[nodiscard]] std::future<Result<ServiceReply>> Arm();
+
+  /// Fulfils the future and empties the handle. Aborts, in every build,
+  /// when the handle is empty (never armed, moved from or answered).
+  void Answer(Result<ServiceReply> result) &&;
+
+  bool armed() const { return promise_.has_value(); }
+
+ private:
+  void DropIfArmed();
+
+  /// Engaged exactly while armed.
+  std::optional<std::promise<Result<ServiceReply>>> promise_;
+};
+
 /// \brief A queued recognition request: the query (owned by the caller
 /// and alive until the reply future is fulfilled), an optional absolute
-/// deadline, and the promise the dispatcher fulfils exactly once.
+/// deadline, and the reply the dispatcher owes exactly once.
 struct QueuedRequest {
   const ImageFeatures* query = nullptr;
   std::uint64_t id = 0;
@@ -57,7 +88,7 @@ struct QueuedRequest {
   /// re-installed on every thread that works on this request so its
   /// spans form one chain across producer, dispatcher, and workers.
   obs::TraceContext trace;
-  std::promise<Result<ServiceReply>> reply;
+  ReplyOnce reply;
 };
 
 /// \brief Admission-control knobs.
@@ -86,7 +117,7 @@ class RequestQueue {
   /// Admits or sheds `request`. On OK the request has been moved into
   /// the queue; on failure (`Unavailable`: shed by admission control, or
   /// closed for draining) the request is untouched and the caller still
-  /// owns its promise.
+  /// owns its reply.
   [[nodiscard]] Status Enqueue(QueuedRequest& request);
 
   /// Pops up to `max_batch` requests in FIFO order, blocking while the
@@ -106,8 +137,8 @@ class RequestQueue {
 
  private:
   RequestQueueOptions options_;
-  mutable std::mutex mutex_;  // LOCK_RANK(10)
-  std::condition_variable cv_;
+  mutable obs::RankedMutex mutex_{obs::LockRank::kRequestQueue};
+  obs::CondVar cv_;
   std::deque<QueuedRequest> queue_;  // GUARDED_BY(mutex_)
   bool closed_ = false;  // GUARDED_BY(mutex_)
   RequestQueueStats stats_;  // GUARDED_BY(mutex_)

@@ -185,7 +185,7 @@ std::future<Result<ServiceReply>> RecognitionService::Submit(
               std::chrono::duration<double, std::milli>(deadline_ms));
     }
   }
-  std::future<Result<ServiceReply>> future = request.reply.get_future();
+  std::future<Result<ServiceReply>> future = request.reply.Arm();
   if (query->histogram.num_bins() != hist_bins_) {
     // No engine can score this query (the degraded colour engine reads
     // the histogram even when the primary does not): answer it here.
@@ -198,14 +198,14 @@ std::future<Result<ServiceReply>> RecognitionService::Submit(
   const Status admitted = queue_.Enqueue(request);
   if (!admitted.ok()) {
     // Rejected requests are answered right here, exactly once: the
-    // promise was not consumed by the queue.
+    // reply was not consumed by the queue.
     if (stopping_.load(std::memory_order_relaxed)) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       rejected_counter.Increment();
     } else {
       shed_.fetch_add(1, std::memory_order_relaxed);
     }
-    request.reply.set_value(Result<ServiceReply>(admitted));
+    std::move(request.reply).Answer(Result<ServiceReply>(admitted));
     // A shed/rejected request is an unavailability event for the SLO and
     // an errored request for tail-keep.
     slo_.Record(false, 0.0);
@@ -286,7 +286,7 @@ void RecognitionService::Answer(QueuedRequest& request,
     // The reply is fulfilled inside the request's final span so the
     // causal chain visibly ends on the dispatcher thread.
     SNOR_TRACE_SPAN_CTX("serve.request.answer", request.trace);
-    request.reply.set_value(std::move(result));
+    std::move(request.reply).Answer(std::move(result));
   }
   slo_.Record(is_ok, elapsed_us);
   if (request.trace.active()) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <system_error>
 
+#include "obs/lock_rank.h"
 #include "util/string_util.h"
 
 namespace snor {
@@ -27,6 +28,7 @@ bool SyncFile(const std::string& path) {
 
 Status WriteFileAtomically(const std::string& path,
                            const std::function<void(std::ostream&)>& write) {
+  obs::AssertNoRankedLockHeld("WriteFileAtomically");
   static std::atomic<std::uint64_t> sequence{0};
   const std::string tmp =
       StrFormat("%s.tmp.%ld.%llu", path.c_str(), static_cast<long>(::getpid()),

@@ -5,6 +5,7 @@
 #include <string>
 #include <thread>
 
+#include "obs/lock_rank.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -158,6 +159,7 @@ double MaybePoisonScore(double value) {
 }
 
 void MaybeInjectDelay() {
+  obs::AssertNoRankedLockHeld("MaybeInjectDelay");
   if (FaultFires(FaultPoint::kSlowWorker)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }

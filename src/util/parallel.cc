@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 
+#include "obs/lock_rank.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/fault.h"
@@ -49,7 +50,7 @@ void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
-  std::mutex error_mutex;  // LOCK_RANK(50): leaf, never nests another lock.
+  obs::RankedMutex error_mutex(obs::LockRank::kParallelForError);
 
   // Workers inherit the caller's request scope so spans they record stay
   // on the request's causal chain across the thread hop (per-index work
@@ -76,7 +77,7 @@ void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
           fn(i);
         } catch (...) {
           {
-            std::lock_guard<std::mutex> lock(error_mutex);
+            std::lock_guard<obs::RankedMutex> lock(error_mutex);
             if (!first_error) first_error = std::current_exception();
           }
           failed.store(true, std::memory_order_release);

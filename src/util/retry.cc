@@ -4,6 +4,7 @@
 #include <chrono>
 #include <thread>
 
+#include "obs/lock_rank.h"
 #include "obs/metrics.h"
 #include "util/string_util.h"
 
@@ -11,6 +12,7 @@ namespace snor {
 namespace internal {
 
 void SleepForMillis(double ms) {
+  obs::AssertNoRankedLockHeld("SleepForMillis");
   if (ms <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }

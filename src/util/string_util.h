@@ -1,9 +1,14 @@
 #ifndef SNOR_UTIL_STRING_UTIL_H_
 #define SNOR_UTIL_STRING_UTIL_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace snor {
@@ -27,6 +32,24 @@ bool StartsWith(std::string_view text, std::string_view prefix);
 
 /// Lower-cases ASCII letters.
 std::string AsciiToLower(std::string_view text);
+
+/// Parses a whole numeric flag value into `*out`: false (and `*out`
+/// untouched) when `text` is empty, has trailing characters, is out of
+/// range for `T` (a negative value for an unsigned `T` included) or, for
+/// floating-point `T`, is not finite. Integer `T` accepts only whole
+/// decimal numbers.
+template <typename T>
+[[nodiscard]] bool ParseFlagValue(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
 
 }  // namespace snor
 

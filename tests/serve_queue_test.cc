@@ -5,7 +5,9 @@
 #include "serve/request_queue.h"
 
 #include <chrono>
+#include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -68,10 +70,13 @@ TEST(ServeQueueTest, WatermarkShedsOnlyDeadlineCarryingRequests) {
   // At the watermark a deadline request is shed (it would expire behind
   // the backlog), while a deadline-free request is still admitted.
   QueuedRequest with_deadline = MakeRequest(100, /*has_deadline=*/true);
+  std::future<Result<ServiceReply>> future = with_deadline.reply.Arm();
   const Status shed = queue.Enqueue(with_deadline);
   EXPECT_EQ(shed.code(), StatusCode::kUnavailable);
-  // The request was untouched: the caller still owns a usable promise.
-  with_deadline.reply.set_value(Result<ServiceReply>(shed));
+  // The request was untouched: the caller still owns an armed reply.
+  ASSERT_TRUE(with_deadline.reply.armed());
+  std::move(with_deadline.reply).Answer(Result<ServiceReply>(shed));
+  EXPECT_EQ(future.get().status().code(), StatusCode::kUnavailable);
 
   QueuedRequest without_deadline = MakeRequest(101);
   EXPECT_TRUE(queue.Enqueue(without_deadline).ok());

@@ -18,6 +18,7 @@
 
 #include "core/classifiers.h"
 #include "core/experiment.h"
+#include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/rng.h"
 
@@ -40,6 +41,12 @@ std::vector<ImageFeatures> SyntheticBank(std::size_t n, std::uint64_t seed) {
     f.histogram.NormalizeL1();
   }
   return bank;
+}
+
+std::uint64_t DroppedReplies() {
+  return obs::MetricsRegistry::Global()
+      .counter("serve.service.dropped_replies")
+      .value();
 }
 
 ApproachSpec HybridSpec() {
@@ -73,6 +80,7 @@ TEST(ServeServiceStressTest, ManyProducersLoseNothingAndStayBitIdentical) {
   options.max_batch = 32;
   auto service = RecognitionService::Create(HybridSpec(), gallery, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const std::uint64_t dropped_before = DroppedReplies();
 
   // Slow workers reorder shard completion; they are score-neutral, so
   // bit-identity must survive them.
@@ -120,6 +128,8 @@ TEST(ServeServiceStressTest, ManyProducersLoseNothingAndStayBitIdentical) {
   }
   for (auto& t : producers) t.join();
   service.value()->Shutdown();
+  // No reply handle was destroyed unanswered.
+  EXPECT_EQ(DroppedReplies(), dropped_before);
 
   Tally total;
   for (const Tally& t : tallies) {
@@ -164,6 +174,7 @@ TEST(ServeServiceStressTest, FaultStormAccountingStaysExact) {
   options.breaker.cooldown_ms = 20.0;
   auto service = RecognitionService::Create(HybridSpec(), gallery, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const std::uint64_t dropped_before = DroppedReplies();
 
   // Everything at once: failing ingest reads (retry exhaustion), NaN
   // shape scores (breaker pressure + degraded answers), slow workers
@@ -206,6 +217,8 @@ TEST(ServeServiceStressTest, FaultStormAccountingStaysExact) {
   }
   for (auto& t : producers) t.join();
   service.value()->Shutdown();
+  // No reply handle was destroyed unanswered.
+  EXPECT_EQ(DroppedReplies(), dropped_before);
 
   Tally total;
   for (const Tally& t : tallies) {

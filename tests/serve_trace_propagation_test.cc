@@ -20,6 +20,7 @@
 
 #include "core/classifiers.h"
 #include "core/experiment.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/service.h"
 #include "util/fault.h"
@@ -232,6 +233,9 @@ TEST_F(ServeTracePropagationTest, TailKeepRetainsAllFailuresUnderFaults) {
   auto service =
       RecognitionService::Create(HybridSpec(), ctx.Sns1Features(), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
+  obs::Counter& dropped_replies =
+      obs::MetricsRegistry::Global().counter("serve.service.dropped_replies");
+  const std::uint64_t dropped_before = dropped_replies.value();
 
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 20;
@@ -276,6 +280,7 @@ TEST_F(ServeTracePropagationTest, TailKeepRetainsAllFailuresUnderFaults) {
       static_cast<std::uint64_t>(kProducers) * kPerProducer;
   ASSERT_EQ(ok_replies.load() + deadline_replies.load() + error_replies.load(),
             kTotal);
+  EXPECT_EQ(dropped_replies.value(), dropped_before);
   // The fault rates above make failures overwhelmingly likely (~10^-5
   // odds of a clean run); without any the retention claim is vacuous.
   EXPECT_GT(deadline_replies.load() + error_replies.load(), 0u);

@@ -10,7 +10,6 @@ namespace snor_analyze {
 namespace fs = std::filesystem;
 
 const std::string kGuardedByMarker = std::string("GUARDED") + "_BY(";
-const std::string kLockRankMarker = std::string("LOCK") + "_RANK(";
 const std::string kExpectMarker = std::string("EXPECT") + "-ANALYZE:";
 const std::string kAnalyzeAsMarker = std::string("ANALYZE") + "-AS:";
 const std::string kNolintNextMarker = std::string("NOLINT") + "NEXTLINE";

@@ -1,10 +1,8 @@
 #ifndef SNOR_TOOLS_ANALYZE_LEXER_H_
 #define SNOR_TOOLS_ANALYZE_LEXER_H_
 
-// Shared C++ tokenizer for snor_analyze (see snor_analyze.cc for the
-// rule catalog). Split out of the driver so the pass-1 summary builder
-// (summary.cc), the pass-2 linker (callgraph.cc) and the intra-procedural
-// analyses all lex a translation unit exactly the same way.
+// C++ tokenizer for snor_analyze (see snor_analyze.cc for the rule
+// catalog), kept apart from the checks that consume its token stream.
 //
 // The lexer understands comments, raw strings, char/string literals
 // (including user-defined literal suffixes), digit separators (1'000),
@@ -24,7 +22,6 @@ namespace snor_analyze {
 // Markers are assembled at runtime so the analyzer's own source never
 // contains the literal annotation text (it scans tools/ too).
 extern const std::string kGuardedByMarker;   // "GUARDED" "_BY("
-extern const std::string kLockRankMarker;    // "LOCK" "_RANK("
 extern const std::string kExpectMarker;      // "EXPECT" "-ANALYZE:"
 extern const std::string kAnalyzeAsMarker;   // "ANALYZE" "-AS:"
 extern const std::string kNolintNextMarker;  // "NOLINT" "NEXTLINE"

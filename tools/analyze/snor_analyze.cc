@@ -1,5 +1,4 @@
-// snor_analyze: dependency-DAG, dataflow and whole-program concurrency
-// analyzer for the snor tree.
+// snor_analyze: dependency-DAG and dataflow analyzer for the snor tree.
 //
 // Where snor_lint (tools/lint) is a single-line token scanner, this tool
 // runs a real C++ tokenizer (lexer.h) over every translation unit under
@@ -26,29 +25,20 @@
 //                     the lock is destroyed at the end of the full
 //                     expression, guarding nothing.
 //
-// Concurrency annotations (intra):
+// Concurrency annotations:
 //   guarded-by        A member or local annotated `// GUARDED_BY(x)` is
 //                     written inside a `ParallelFor` lambda body in the
 //                     same file without honouring its guard.
 //
-// Interprocedural concurrency (two-pass; see summary.h, callgraph.h,
-// concurrency_checks.h):
-//   lock-order-cycle     Lock-acquisition-order rank inversions
-//                        (LOCK_RANK(n) annotations; lower = outer) and
-//                        acquisition cycles — deadlock potential.
-//   blocking-under-lock  A blocking primitive (sleep, file/stream IO,
-//                        thread join, waits) reached directly or through
-//                        any call chain while holding a lock.
-//   condvar-predicate    Condvar wait without a predicate overload or an
-//                        enclosing re-check loop.
-//   promise-exactly-once A promise-routing loop has a path that drops a
-//                        promise-carrying value or fulfils it twice.
+// Lock order, blocking under a lock, condvar predicates and reply-once
+// are not analyzed here: they hold by construction (obs/lock_rank.h,
+// serve::ReplyOnce, snor_lint's unranked-sync rule).
 //
-// Each run is one cold pass: read and tokenize every file, build one
-// summary per TU (summary.h), run the intra-file checks, link the
-// summaries into a call graph (callgraph.h) and run the cross-file
-// checks. The cross-file checks need the whole program, so the tool
-// always analyzes a whole tree (`--root`) or fixture set.
+// Each run is one cold pass: read and tokenize every file, collect the
+// program-wide set of Status/Result-returning names, run the per-file
+// checks and the include-cycle check. The fallible set and the include
+// graph span files, so the tool always analyzes a whole tree (`--root`)
+// or fixture set.
 //
 // Suppression: `// NOLINT(rule)` on the line, or `// NOLINTNEXTLINE(rule)`
 // above it.
@@ -74,10 +64,7 @@
 #include <string_view>
 #include <vector>
 
-#include "callgraph.h"
-#include "concurrency_checks.h"
 #include "lexer.h"
-#include "summary.h"
 
 namespace snor_analyze {
 
@@ -185,7 +172,7 @@ std::string IncludeModule(const std::string& include_path,
   return config.Known(mod) ? mod : std::string();
 }
 
-void CheckLayering(const TuSummary& tu, const LayerConfig& config,
+void CheckLayering(const SourceFile& tu, const LayerConfig& config,
                    std::vector<Finding>* out) {
   const std::string module = ModuleOf(tu.path);
   if (module.empty() || !config.Known(module)) return;
@@ -207,7 +194,7 @@ void CheckLayering(const TuSummary& tu, const LayerConfig& config,
 
 // Builds the project include graph over the analyzed TUs and reports
 // every elementary cycle found by DFS (each once, at its back-edge).
-void CheckIncludeCycles(const std::vector<TuSummary>& tus,
+void CheckIncludeCycles(const std::vector<SourceFile>& tus,
                         std::vector<Finding>* out) {
   // Keys are root-relative ("src/util/status.h"), so absolute analyzed
   // paths and the project's src/-rooted include style line up.
@@ -225,7 +212,7 @@ void CheckIncludeCycles(const std::vector<TuSummary>& tus,
   for (std::size_t i = 0; i < tus.size(); ++i) {
     by_path[rel_key(tus[i].path)] = i;
   }
-  auto resolve = [&](const TuSummary& from, const std::string& inc) -> long {
+  auto resolve = [&](const SourceFile& from, const std::string& inc) -> long {
     // Project convention: includes are rooted at src/ (or at the
     // consumer directory for bench/tests helpers).
     const std::string rel = rel_key(from.path);
@@ -308,14 +295,51 @@ void CheckIncludeCycles(const std::vector<TuSummary>& tus,
 
 // ------------------------------------------------------------ dataflow --
 
-// Names of Status/Result-returning functions: per-TU sets are collected
-// by pass 1; the program-wide registry is their union plus seeds for
-// members the declaration scan cannot see.
+// Skips a balanced template argument list starting at `i` (which must
+// be '<'); returns the index just past the closing '>'. Returns `i`
+// unchanged when the list does not close (comparison, not template).
+std::size_t SkipTemplateArgs(const std::vector<Token>& code, std::size_t i) {
+  int depth = 0;
+  for (std::size_t j = i; j < code.size() && j < i + 256; ++j) {
+    if (code[j].text == "<") ++depth;
+    else if (code[j].text == ">") --depth;
+    else if (code[j].text == ">>") depth -= 2;
+    else if (code[j].text == ";" || code[j].text == "{") return i;
+    if (depth <= 0) return j + 1;
+  }
+  return i;
+}
+
+// Names of Status/Result-returning functions: every PascalCase
+// `Status Name(` / `Result<...> Name(` declaration in the program, plus
+// seeds for members the declaration scan cannot see.
 std::set<std::string> BuildFallibleRegistry(
-    const std::vector<TuSummary>& tus) {
+    const std::vector<SourceFile>& sources) {
   std::set<std::string> registry = {"RetryWithBackoff", "status"};
-  for (const TuSummary& tu : tus) {
-    registry.insert(tu.fallible.begin(), tu.fallible.end());
+  std::vector<Token> code;
+  for (const SourceFile& source : sources) {
+    code.clear();
+    for (const Token& tok : source.tokens) {
+      if (tok.kind != Tok::kComment) code.push_back(tok);
+    }
+    for (std::size_t i = 0; i + 1 < code.size(); ++i) {
+      if (code[i].kind != Tok::kIdent) continue;
+      std::size_t name_at = i + 1;
+      if (code[i].text == "Result" && code[i + 1].text == "<") {
+        name_at = SkipTemplateArgs(code, i + 1);
+        if (name_at == i + 1) continue;
+      } else if (code[i].text != "Status") {
+        continue;
+      }
+      if (name_at + 1 >= code.size() || code[name_at].kind != Tok::kIdent ||
+          code[name_at + 1].text != "(") {
+        continue;
+      }
+      const std::string& name = code[name_at].text;
+      if (std::isupper(static_cast<unsigned char>(name[0])) != 0) {
+        registry.insert(name);
+      }
+    }
   }
   return registry;
 }
@@ -371,19 +395,8 @@ class DataflowAnalyzer {
     out_->push_back({file_.path, line, rule, std::move(message)});
   }
 
-  // Skips a balanced template argument list starting at `i` (which must
-  // be '<'); returns the index just past the closing '>'. Returns `i`
-  // unchanged when the list does not close (comparison, not template).
   std::size_t SkipTemplateArgs(std::size_t i) const {
-    int depth = 0;
-    for (std::size_t j = i; j < code_.size() && j < i + 256; ++j) {
-      if (code_[j].text == "<") ++depth;
-      else if (code_[j].text == ">") --depth;
-      else if (code_[j].text == ">>") depth -= 2;
-      else if (code_[j].text == ";" || code_[j].text == "{") return i;
-      if (depth <= 0) return j + 1;
-    }
-    return i;
+    return snor_analyze::SkipTemplateArgs(code_, i);
   }
 
   // Skips a balanced (...) starting at `i` (must be '('); returns index
@@ -982,31 +995,18 @@ bool LoadSources(const std::vector<std::string>& paths,
   return true;
 }
 
-// The whole analysis over a set of tokenized files:
-//   A. build one summary per TU (pass 1);
-//   B. derive the program-wide fallible registry from the summaries and
-//      run layering + the intra-procedural dataflow checks per file;
-//   C. link the summaries (pass 2) and run include-cycle + the four
-//      interprocedural concurrency checks.
-// Returns the findings sorted and de-duplicated.
+// The whole analysis over a set of tokenized files: the program-wide
+// fallible registry, then layering and the dataflow checks per file, then
+// the include-cycle check. Returns the findings sorted and de-duplicated.
 std::vector<Finding> Analyze(const std::vector<SourceFile>& sources,
                              const LayerConfig& config) {
-  std::vector<TuSummary> tus;
-  tus.reserve(sources.size());
-  for (const SourceFile& source : sources) {
-    tus.push_back(BuildTuSummary(source));
-  }
-
   std::vector<Finding> findings;
-  const std::set<std::string> fallible = BuildFallibleRegistry(tus);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    CheckLayering(tus[i], config, &findings);
-    DataflowAnalyzer(sources[i], fallible, &findings).Run();
+  const std::set<std::string> fallible = BuildFallibleRegistry(sources);
+  for (const SourceFile& source : sources) {
+    CheckLayering(source, config, &findings);
+    DataflowAnalyzer(source, fallible, &findings).Run();
   }
-
-  CheckIncludeCycles(tus, &findings);
-  const CallGraph graph(tus);
-  RunConcurrencyChecks(graph, &findings);
+  CheckIncludeCycles(sources, &findings);
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end(),
                              [](const Finding& a, const Finding& b) {
@@ -1155,8 +1155,8 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: snor_analyze [--root DIR]\n"
           "       snor_analyze --self-test FIXTURE_DIR\n"
-          "Dependency-DAG, dataflow and whole-program concurrency\n"
-          "analysis over src/, bench/, examples/, tests/ and tools/\n"
+          "Dependency-DAG and dataflow analysis over src/, bench/,\n"
+          "examples/, tests/ and tools/\n"
           "(module DAG: DIR/tools/analyze/layers.toml).\n");
       return 0;
     } else {

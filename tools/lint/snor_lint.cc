@@ -24,6 +24,11 @@
 //                       printed reports (bench/, examples/, table,
 //                       csv): iteration order would make report
 //                       output non-deterministic.
+//   unranked-sync       std::mutex or a condition_variable in src/
+//                       outside src/obs/lock_rank.h: every runtime
+//                       mutex is an obs::RankedMutex (its place in the
+//                       lock order is in its type) and every wait goes
+//                       through obs::CondVar::WaitFor (predicate only).
 //   span-metric-name    A string literal passed to SNOR_TRACE_SPAN,
 //                       TraceInstant, or a registry .counter/.gauge/
 //                       .histogram call does not follow the lowercase
@@ -432,6 +437,8 @@ void CheckBannedConstructs(const SourceFile& file, std::vector<Violation>* out) 
   const bool rng_exempt = PathContains(file.path, "src/util/rng");
   const bool new_exempt = PathContains(file.path, "src/nn/tensor");
   const bool logging_exempt = PathContains(file.path, "src/util/logging");
+  const bool sync_scope = in_library &&
+                          !PathContains(file.path, "src/obs/lock_rank.h");
   const bool report_scope = PathContains(file.path, "bench/") ||
                             PathContains(file.path, "examples/") ||
                             PathContains(file.path, "src/util/table") ||
@@ -494,6 +501,14 @@ void CheckBannedConstructs(const SourceFile& file, std::vector<Violation>* out) 
       emit("cout-in-library",
            "std::cout in library code; use SNOR_LOG (util/logging) or "
            "take an std::ostream&");
+    }
+
+    if (sync_scope && (line.find("std::mutex") != std::string::npos ||
+                       HasWord(line, "condition_variable", nullptr) ||
+                       HasWord(line, "condition_variable_any", nullptr))) {
+      emit("unranked-sync",
+           "raw std::mutex / condition_variable: use obs::RankedMutex "
+           "with a LockRank and obs::CondVar (obs/lock_rank.h)");
     }
 
     if (report_scope && (line.find("std::unordered_map") != std::string::npos ||

@@ -33,7 +33,7 @@ cmake --build --preset check -j
 ctest --preset check -j
 ./build-check/tools/lint/snor_lint --root .
 
-echo "== analyze: layering + dataflow + concurrency =="
+echo "== analyze: layering + include cycles + dataflow + guarded-by =="
 # Blocking: any finding fails the run.
 analyze_start=$(date +%s%N)
 ./build-check/tools/analyze/snor_analyze --root .
