@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "contour_reference.h"
 #include "core/classifiers.h"
 #include "core/descriptor_classifier.h"
 #include "core/evaluation.h"
@@ -78,7 +79,7 @@ TEST(EdgeContourTest, CheckerboardManyComponents) {
     for (int x = 0; x < 8; ++x)
       if ((x + y) % 2 == 0) img.at(y, x) = 255;
   int n = 0;
-  LabelComponents(img, &n);
+  reference::LabelComponents(img, &n);
   EXPECT_EQ(n, 1);
 }
 

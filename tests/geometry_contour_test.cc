@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "contour_reference.h"
 #include "img/draw.h"
+#include "util/rng.h"
 
 namespace snor {
 namespace {
@@ -19,7 +25,7 @@ TEST(LabelComponentsTest, CountsDisjointBlobs) {
   StampRect(img, 1, 1, 3, 3);
   StampRect(img, 10, 10, 4, 4);
   int n = 0;
-  const Image<int> labels = LabelComponents(img, &n);
+  const Image<int> labels = reference::LabelComponents(img, &n);
   EXPECT_EQ(n, 2);
   EXPECT_NE(labels.at(2, 2), labels.at(12, 12));
   EXPECT_EQ(labels.at(0, 0), 0);
@@ -30,14 +36,14 @@ TEST(LabelComponentsTest, DiagonalTouchIsOneComponent) {
   img.at(0, 0) = 255;
   img.at(1, 1) = 255;
   int n = 0;
-  LabelComponents(img, &n);
+  reference::LabelComponents(img, &n);
   EXPECT_EQ(n, 1);
 }
 
 TEST(LabelComponentsTest, EmptyImageHasNoComponents) {
   ImageU8 img = BinaryCanvas(5, 5);
   int n = -1;
-  LabelComponents(img, &n);
+  reference::LabelComponents(img, &n);
   EXPECT_EQ(n, 0);
 }
 
@@ -125,6 +131,102 @@ TEST(FindContoursTest, ConcaveShapeTracedCorrectly) {
   const double area = ContourArea(contours[0]);
   EXPECT_LT(area, 9.0 * 9.0);
   EXPECT_GT(area, 40.0);
+}
+
+TEST(FindContoursTest, EqualAreasKeepRasterOrder) {
+  // Three 4x4 squares of equal area; their first pixels in raster order
+  // are (12,1), (1,5), (7,9), which is not their left-to-right order.
+  ImageU8 img = BinaryCanvas(20, 16);
+  StampRect(img, 7, 9, 4, 4);
+  StampRect(img, 12, 1, 4, 4);
+  StampRect(img, 1, 5, 4, 4);
+  const auto contours = FindContours(img);
+  ASSERT_EQ(contours.size(), 3u);
+  EXPECT_EQ(contours[0][0], (Point{12, 1}));
+  EXPECT_EQ(contours[1][0], (Point{1, 5}));
+  EXPECT_EQ(contours[2][0], (Point{7, 9}));
+}
+
+// Seeded masks mixing the shapes a labeller or tracer gets wrong: filled
+// and hollow rectangles (holes, rings), one-pixel strokes, diagonal
+// touches, components cut by the image border, 1xN and Nx1 images and
+// salt noise. Foreground bytes are arbitrary non-zero values.
+ImageU8 FuzzMask(Rng& rng) {
+  int w = static_cast<int>(rng.UniformInt(1, 28));
+  int h = static_cast<int>(rng.UniformInt(1, 28));
+  if (rng.UniformInt(0, 7) == 0) w = 1;
+  if (rng.UniformInt(0, 7) == 0) h = 1;
+  ImageU8 img = BinaryCanvas(w, h);
+  auto set = [&](int x, int y) {
+    if (img.InBounds(x, y)) {
+      img.at(y, x) = static_cast<std::uint8_t>(rng.UniformInt(1, 255));
+    }
+  };
+  const int shapes = static_cast<int>(rng.UniformInt(0, 6));
+  for (int s = 0; s < shapes; ++s) {
+    // Shapes may start left of or above the image and run past its far
+    // edges, so components are cut by every side of the border.
+    const int x0 = static_cast<int>(rng.UniformInt(-3, w));
+    const int y0 = static_cast<int>(rng.UniformInt(-3, h));
+    const int sw = static_cast<int>(rng.UniformInt(1, 12));
+    const int sh = static_cast<int>(rng.UniformInt(1, 12));
+    switch (rng.UniformInt(0, 4)) {
+      case 0:  // Filled rectangle.
+        for (int y = y0; y < y0 + sh; ++y)
+          for (int x = x0; x < x0 + sw; ++x) set(x, y);
+        break;
+      case 1: {  // Ring: rectangle outline, one or two pixels thick.
+        const int t = static_cast<int>(rng.UniformInt(1, 2));
+        for (int y = y0; y < y0 + sh; ++y)
+          for (int x = x0; x < x0 + sw; ++x)
+            if (x < x0 + t || x >= x0 + sw - t || y < y0 + t ||
+                y >= y0 + sh - t)
+              set(x, y);
+        break;
+      }
+      case 2: {  // One-pixel stroke: horizontal, vertical or diagonal.
+        const int dir = static_cast<int>(rng.UniformInt(0, 3));
+        const int len = static_cast<int>(rng.UniformInt(1, 16));
+        for (int i = 0; i < len; ++i) {
+          const int dx = dir == 1 ? 0 : 1;
+          const int dy = dir == 0 ? 0 : (dir == 3 ? -1 : 1);
+          set(x0 + i * dx, y0 + i * dy);
+        }
+        break;
+      }
+      case 3:  // Diagonal touch of two pixels, either orientation.
+        if (rng.UniformInt(0, 1) == 0) {
+          set(x0, y0);
+          set(x0 + 1, y0 + 1);
+        } else {
+          set(x0 + 1, y0);
+          set(x0, y0 + 1);
+        }
+        break;
+      default:  // Single pixel.
+        set(x0, y0);
+        break;
+    }
+  }
+  if (rng.UniformInt(0, 2) == 0) {
+    const double density = rng.Uniform(0.05, 0.6);
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x)
+        if (rng.UniformDouble() < density) set(x, y);
+  }
+  return img;
+}
+
+TEST(FindContoursTest, MatchesReferenceOnFuzzedMasks) {
+  Rng rng(20260423);
+  for (int c = 0; c < 3000; ++c) {
+    const ImageU8 mask = FuzzMask(rng);
+    for (const int k : {1, 9}) {
+      SCOPED_TRACE("case " + std::to_string(c) + " min_pixels " +
+                   std::to_string(k));
+      ASSERT_EQ(FindContours(mask, k), reference::FindContours(mask, k));
+    }
+  }
 }
 
 TEST(ContourGeometryTest, PerimeterOfSquare) {
