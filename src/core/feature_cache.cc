@@ -26,58 +26,57 @@ std::vector<ImageFeatures> ComputeFeatures(const Dataset& dataset,
   // sequential order because each worker writes only its own slot.
   ParallelFor(dataset.size(), [&](std::size_t idx) {
     const LabeledImage& item = dataset.items[idx];
-    ImageFeatures f;
+    ImageFeatures& f = features[idx];
     f.label = item.label;
     f.model_id = item.model_id;
-    f.histogram = ColorHistogram(options.hist_bins);
 
     // Ingestion is the stage where a robot reads a frame off a sensor or
     // disk; an armed io-read fault marks the item unavailable (skipped
     // and recorded by batch evaluation) instead of killing the batch.
-    const Status ingest = InjectFault(
-        FaultPoint::kIoRead, StrFormat("ingest item %zu", idx));
-    if (!ingest.ok()) {
-      f.status = ingest;
+    if (FaultFires(FaultPoint::kIoRead)) {
+      f.status = FaultStatus(FaultPoint::kIoRead,
+                             StrFormat("ingest item %zu", idx));
+      f.histogram = ColorHistogram(options.hist_bins);
       invalid_counter.Increment();
-      features[idx] = std::move(f);
       return;
     }
 
     auto result = Preprocess(item.image, preprocess);
-    if (!result.ok()) f.status = result.status();
-    if (result.ok()) {
-      SNOR_TRACE_SPAN("features.histogram.compute");
-      const PreprocessResult& pre = result.value();
-      f.hu = pre.hu;
-      f.valid = true;
-
-      // The histogram may be computed in HSV, but background detection
-      // always happens in the original RGB crop.
-      const ImageU8& rgb_crop = pre.cropped_rgb;
-      const ImageU8 hist_crop =
-          options.use_hsv ? RgbToHsv(rgb_crop) : rgb_crop;
-      if (options.mask_histogram) {
-        // Object-only histogram: exclude pixels matching the background.
-        const std::uint8_t bg = preprocess.white_background ? 255 : 0;
-        ImageU8 mask(rgb_crop.width(), rgb_crop.height(), 1, 0);
-        for (int y = 0; y < rgb_crop.height(); ++y) {
-          for (int x = 0; x < rgb_crop.width(); ++x) {
-            const bool is_bg = rgb_crop.at(y, x, 0) == bg &&
-                               rgb_crop.at(y, x, 1) == bg &&
-                               rgb_crop.at(y, x, 2) == bg;
-            if (!is_bg) mask.at(y, x) = 255;
-          }
-        }
-        f.histogram =
-            ColorHistogram::Compute(hist_crop, &mask, options.hist_bins);
-      } else {
-        f.histogram =
-            ColorHistogram::Compute(hist_crop, nullptr, options.hist_bins);
-      }
-      f.histogram.NormalizeL1();
+    if (!result.ok()) {
+      f.status = result.status();
+      f.histogram = ColorHistogram(options.hist_bins);
+      invalid_counter.Increment();
+      return;
     }
-    if (!f.valid) invalid_counter.Increment();
-    features[idx] = std::move(f);
+    SNOR_TRACE_SPAN("features.histogram.compute");
+    const PreprocessResult& pre = result.value();
+    f.hu = pre.hu;
+    f.valid = true;
+
+    // The histogram may be computed in HSV, but background detection
+    // always happens in the original RGB crop.
+    const ImageU8& rgb_crop = pre.cropped_rgb;
+    const ImageU8 hsv_crop = options.use_hsv ? RgbToHsv(rgb_crop) : ImageU8();
+    const ImageU8& hist_crop = options.use_hsv ? hsv_crop : rgb_crop;
+    if (options.mask_histogram) {
+      // Object-only histogram: exclude pixels matching the background.
+      const std::uint8_t bg = preprocess.white_background ? 255 : 0;
+      ImageU8 mask(rgb_crop.width(), rgb_crop.height(), 1, 0);
+      for (int y = 0; y < rgb_crop.height(); ++y) {
+        for (int x = 0; x < rgb_crop.width(); ++x) {
+          const bool is_bg = rgb_crop.at(y, x, 0) == bg &&
+                             rgb_crop.at(y, x, 1) == bg &&
+                             rgb_crop.at(y, x, 2) == bg;
+          if (!is_bg) mask.at(y, x) = 255;
+        }
+      }
+      f.histogram =
+          ColorHistogram::Compute(hist_crop, &mask, options.hist_bins);
+    } else {
+      f.histogram =
+          ColorHistogram::Compute(hist_crop, nullptr, options.hist_bins);
+    }
+    f.histogram.NormalizeL1();
   });
   return features;
 }

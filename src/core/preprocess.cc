@@ -15,30 +15,34 @@ Result<PreprocessResult> Preprocess(const ImageU8& rgb,
   const obs::ScopedLatencyUs latency(latency_us);
 
   if (rgb.empty()) return Status::InvalidArgument("empty input image");
-  const ImageU8 gray = rgb.channels() == 3 ? RgbToGray(rgb) : rgb;
 
-  // Global binary thresholding; inverse when the background is white so
-  // that the object becomes the foreground in both cases (§3.2).
+  // Global binary thresholding of the gray image; inverse when the
+  // background is white so that the object becomes the foreground in both
+  // cases (§3.2). A fixed threshold reads RGB directly.
   ImageU8 binary;
   {
     SNOR_TRACE_SPAN("core.preprocess.threshold");
     const ThresholdMode mode = options.white_background
                                    ? ThresholdMode::kBinaryInv
                                    : ThresholdMode::kBinary;
-    const std::uint8_t thresh =
-        options.use_otsu
-            ? OtsuThreshold(gray)
-            : (options.white_background ? options.white_threshold
-                                        : options.black_threshold);
-    binary = Threshold(gray, thresh, 255, mode);
+    if (options.use_otsu) {
+      const ImageU8 gray = rgb.channels() == 3 ? RgbToGray(rgb) : rgb;
+      binary = Threshold(gray, OtsuThreshold(gray), 255, mode);
+    } else {
+      const std::uint8_t thresh = options.white_background
+                                      ? options.white_threshold
+                                      : options.black_threshold;
+      binary = rgb.channels() == 3 ? ThresholdRgb(rgb, thresh, 255, mode)
+                                   : Threshold(rgb, thresh, 255, mode);
+    }
   }
 
-  std::vector<Contour> contours;
+  PreprocessResult result;
   {
     SNOR_TRACE_SPAN("core.preprocess.contour");
-    contours = FindContours(binary, options.min_component_pixels);
+    result.contour = FindLargestContour(binary, options.min_component_pixels);
   }
-  if (contours.empty()) {
+  if (result.contour.empty()) {
     static obs::Counter& no_foreground =
         obs::MetricsRegistry::Global().counter("core.preprocess.no_foreground");
     no_foreground.Increment();
@@ -46,8 +50,6 @@ Result<PreprocessResult> Preprocess(const ImageU8& rgb,
   }
 
   SNOR_TRACE_SPAN("core.preprocess.crop");
-  PreprocessResult result;
-  result.contour = contours[0];  // Largest area first.
   result.hu = ComputeHuMoments(ContourMoments(result.contour));
   const Rect bb = BoundingRect(result.contour);
   result.cropped_rgb = Crop(rgb, bb.x, bb.y, bb.width, bb.height);

@@ -37,8 +37,9 @@ struct PreprocessResult {
 
 /// Runs the paper's preprocessing: grayscale conversion, global binary
 /// thresholding (inverse for white backgrounds), contour detection, and
-/// cropping to the contour of largest area. Fails with NotFound when no
-/// foreground component survives.
+/// cropping to the contour of largest area (the first in raster order
+/// among equal areas). Fails with NotFound when no foreground component
+/// survives.
 [[nodiscard]] Result<PreprocessResult> Preprocess(
     const ImageU8& rgb, const PreprocessOptions& options = {});
 

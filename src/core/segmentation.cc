@@ -1,6 +1,5 @@
 #include "core/segmentation.h"
 
-#include "img/color.h"
 #include "img/threshold.h"
 #include "util/check.h"
 
@@ -9,9 +8,10 @@ namespace snor {
 std::vector<SegmentedObject> SegmentFrame(
     const ImageU8& frame, const SegmentationOptions& options) {
   SNOR_CHECK(!frame.empty());
-  const ImageU8 gray = frame.channels() == 3 ? RgbToGray(frame) : frame;
   const ImageU8 binary =
-      Threshold(gray, options.threshold, 255, ThresholdMode::kBinary);
+      frame.channels() == 3
+          ? ThresholdRgb(frame, options.threshold, 255, ThresholdMode::kBinary)
+          : Threshold(frame, options.threshold, 255, ThresholdMode::kBinary);
   const auto contours = FindContours(binary, options.min_pixels);
 
   std::vector<SegmentedObject> objects;

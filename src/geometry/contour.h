@@ -10,9 +10,16 @@ namespace snor {
 
 /// Finds the outer contours of all 8-connected foreground (non-zero)
 /// components in a binary single-channel image, via Moore-neighbour
-/// boundary tracing. Contours are returned sorted by enclosed area
-/// (descending); components smaller than `min_pixels` are skipped.
+/// boundary tracing from each component's first pixel in raster order;
+/// components smaller than `min_pixels` are skipped. Contours are sorted
+/// by enclosed area (descending), and equal areas keep the raster order
+/// of their start pixels.
 std::vector<Contour> FindContours(const ImageU8& binary, int min_pixels = 1);
+
+/// `FindContours(binary, min_pixels)[0]` without keeping the others: the
+/// largest-area contour, the first in raster order among equal areas.
+/// Empty when no component has `min_pixels` pixels.
+Contour FindLargestContour(const ImageU8& binary, int min_pixels = 1);
 
 /// Enclosed area of a closed contour by the shoelace formula (matches
 /// OpenCV `contourArea` up to orientation sign, which we absorb with abs).
@@ -23,10 +30,6 @@ double ContourPerimeter(const Contour& contour);
 
 /// Tight axis-aligned bounding rectangle of the contour points.
 Rect BoundingRect(const Contour& contour);
-
-/// Labels 8-connected foreground components; returns the label image
-/// (0 = background, 1..n = components) and sets `num_components`.
-Image<int> LabelComponents(const ImageU8& binary, int* num_components);
 
 }  // namespace snor
 

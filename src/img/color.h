@@ -17,8 +17,15 @@ struct Rgb {
 };
 
 /// Converts a 3-channel RGB image to single-channel grayscale using the
-/// ITU-R BT.601 weights OpenCV uses (0.299 R + 0.587 G + 0.114 B).
+/// ITU-R BT.601 weights OpenCV uses (0.299 R + 0.587 G + 0.114 B), each
+/// pixel as `Bt601Gray` rounds it.
 ImageU8 RgbToGray(const ImageU8& rgb);
+
+/// Gray level of one pixel: 0.299 R + 0.587 G + 0.114 B rounded half away
+/// from zero. Exact in integers, except that a sum ending in exactly one
+/// half is rounded as its double-precision evaluation rounds it (which
+/// goes either way), so the value never differs from the double formula.
+std::uint8_t Bt601Gray(std::uint8_t r, std::uint8_t g, std::uint8_t b);
 
 /// Expands a single-channel image to 3 identical RGB channels.
 ImageU8 GrayToRgb(const ImageU8& gray);

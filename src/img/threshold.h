@@ -20,6 +20,13 @@ enum class ThresholdMode {
 ImageU8 Threshold(const ImageU8& gray, std::uint8_t thresh,
                   std::uint8_t maxval, ThresholdMode mode);
 
+/// `Threshold(RgbToGray(rgb), thresh, maxval, mode)` in one pass over a
+/// 3-channel image, without the gray image: a pixel is above `thresh`
+/// when 299 R + 587 G + 114 B > 1000 thresh + 500, and a sum equal to
+/// that bound is decided by `Bt601Gray`.
+ImageU8 ThresholdRgb(const ImageU8& rgb, std::uint8_t thresh,
+                     std::uint8_t maxval, ThresholdMode mode);
+
 /// Computes Otsu's optimal global threshold for a single-channel image
 /// (maximizes between-class variance of the intensity histogram).
 std::uint8_t OtsuThreshold(const ImageU8& gray);

@@ -146,6 +146,10 @@ bool FaultFires(FaultPoint point) {
 
 Status InjectFault(FaultPoint point, const std::string& detail) {
   if (!FaultFires(point)) return Status::OK();
+  return FaultStatus(point, detail);
+}
+
+Status FaultStatus(FaultPoint point, const std::string& detail) {
   return Status::Unavailable("injected " +
                              std::string(FaultPointName(point)) + " fault: " +
                              detail);

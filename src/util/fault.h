@@ -86,6 +86,10 @@ bool FaultFires(FaultPoint point);
 /// when the fault fires, OK otherwise. `detail` names the operation.
 [[nodiscard]] Status InjectFault(FaultPoint point, const std::string& detail);
 
+/// The `Unavailable` status `InjectFault` returns when `point` fires, for
+/// callers that probe with `FaultFires` and build `detail` only then.
+[[nodiscard]] Status FaultStatus(FaultPoint point, const std::string& detail);
+
 /// Returns NaN instead of `value` when `kNanScore` fires.
 double MaybePoisonScore(double value);
 

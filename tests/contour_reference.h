@@ -5,7 +5,8 @@
 // and tracer that `FindContours` must agree with bit for bit. Components
 // are labelled by BFS into a label image, each is traced over that label
 // image from its first pixel in raster order, and the contours are
-// sorted by enclosed area (descending).
+// stably sorted by enclosed area (descending), so equal areas keep the
+// raster order of their start pixels.
 
 #include <algorithm>
 #include <queue>
@@ -110,13 +111,13 @@ inline std::vector<Contour> FindContours(const ImageU8& binary,
   std::vector<Contour> contours;
   for (int l = 1; l <= n; ++l) {
     if (count[static_cast<std::size_t>(l)] < min_pixels) continue;
-    contours.push_back(
-        reference::TraceBoundary(labels, l, first[static_cast<std::size_t>(l)]));
+    const Point start = first[static_cast<std::size_t>(l)];
+    contours.push_back(reference::TraceBoundary(labels, l, start));
   }
-  std::sort(contours.begin(), contours.end(),
-            [](const Contour& a, const Contour& b) {
-              return ContourArea(a) > ContourArea(b);
-            });
+  std::stable_sort(contours.begin(), contours.end(),
+                   [](const Contour& a, const Contour& b) {
+                     return ContourArea(a) > ContourArea(b);
+                   });
   return contours;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/renderer.h"
+#include "img/color.h"
 #include "img/draw.h"
 
 namespace snor {
@@ -81,6 +82,38 @@ TEST(PreprocessTest, MinComponentFilterIgnoresSpeckles) {
   auto result = Preprocess(img, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->cropped_rgb.width(), 20);
+}
+
+TEST(PreprocessTest, EqualLargestComponentsPickFirstInRasterOrder) {
+  // Two 12x12 objects of equal contour area; the one whose first pixel
+  // comes first in raster order (the upper one) wins, whatever its x.
+  ImageU8 img(60, 60, 3);
+  FillRect(img, 0, 0, 60, 60, Rgb{255, 255, 255});
+  FillRect(img, 40, 5, 12, 12, Rgb{200, 20, 20});
+  FillRect(img, 4, 30, 12, 12, Rgb{20, 20, 200});
+  auto result = Preprocess(img, PreprocessOptions{});
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->contour[0], (Point{40, 5}));
+  EXPECT_EQ(result->cropped_rgb.at(0, 0, 0), 200);
+}
+
+TEST(PreprocessTest, SingleChannelInputMatchesItsRgbExpansion) {
+  ImageU8 gray(50, 40, 1, 255);
+  FillRect(gray, 10, 8, 20, 15, Rgb{90, 90, 90});
+  FillEllipse(gray, 38, 30, 6, 4, Rgb{30, 30, 30});
+  const ImageU8 rgb = GrayToRgb(gray);
+  for (const bool otsu : {false, true}) {
+    PreprocessOptions opts;
+    opts.use_otsu = otsu;
+    auto from_gray = Preprocess(gray, opts);
+    auto from_rgb = Preprocess(rgb, opts);
+    ASSERT_TRUE(from_gray.ok());
+    ASSERT_TRUE(from_rgb.ok());
+    EXPECT_EQ(from_gray->contour, from_rgb->contour) << "otsu " << otsu;
+    EXPECT_EQ(from_gray->cropped_rgb.channels(), 1);
+    EXPECT_EQ(from_gray->cropped_rgb.width(),
+              from_rgb->cropped_rgb.width());
+  }
 }
 
 TEST(PreprocessTest, WorksOnRenderedViews) {

@@ -147,6 +147,28 @@ TEST(FindContoursTest, EqualAreasKeepRasterOrder) {
   EXPECT_EQ(contours[2][0], (Point{7, 9}));
 }
 
+TEST(FindContoursTest, EqualAreasKeepRasterOrderPastSmallSorts) {
+  // More ties than an insertion-sorted small range: the order is still
+  // the raster order of the start pixels, behind the one larger square.
+  ImageU8 img = BinaryCanvas(64, 64);
+  std::vector<Point> starts;
+  for (int i = 0; i < 24; ++i) {
+    const Point p{2 + 9 * (5 - i % 6), 2 + 7 * (i / 6)};
+    StampRect(img, p.x, p.y, 3, 3);
+    starts.push_back(p);
+  }
+  StampRect(img, 2, 40, 10, 10);
+  std::sort(starts.begin(), starts.end(), [](Point a, Point b) {
+    return a.y != b.y ? a.y < b.y : a.x < b.x;
+  });
+  const auto contours = FindContours(img);
+  ASSERT_EQ(contours.size(), 25u);
+  EXPECT_EQ(contours[0][0], (Point{2, 40}));
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    EXPECT_EQ(contours[i + 1][0], starts[i]) << "tie " << i;
+  }
+}
+
 // Seeded masks mixing the shapes a labeller or tracer gets wrong: filled
 // and hollow rectangles (holes, rings), one-pixel strokes, diagonal
 // touches, components cut by the image border, 1xN and Nx1 images and

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "img/color.h"
 
 namespace snor {
@@ -123,6 +126,35 @@ TEST(ColorTest, RgbToGrayUsesBt601Weights) {
   EXPECT_EQ(RgbToGray(rgb).at(0, 0), 29);
   rgb.SetPixel(0, 0, {255, 255, 255});
   EXPECT_EQ(RgbToGray(rgb).at(0, 0), 255);
+}
+
+TEST(ColorTest, RgbToGrayMatchesDoubleFormulaOnEveryColour) {
+  // The conversion is exact in integers; a sum ending in one half is
+  // rounded as the double formula rounds it. Check all 2^24 colours.
+  ImageU8 rgb(256, 256, 3);
+  for (int r = 0; r < 256; ++r) {
+    for (int g = 0; g < 256; ++g) {
+      for (int b = 0; b < 256; ++b) {
+        rgb.SetPixel(g, b,
+                     {static_cast<std::uint8_t>(r),
+                      static_cast<std::uint8_t>(g),
+                      static_cast<std::uint8_t>(b)});
+      }
+    }
+    const ImageU8 gray = RgbToGray(rgb);
+    for (int g = 0; g < 256; ++g) {
+      for (int b = 0; b < 256; ++b) {
+        const double v = 0.299 * r + 0.587 * g + 0.114 * b;
+        const auto want =
+            static_cast<std::uint8_t>(std::lround(std::min(v, 255.0)));
+        ASSERT_EQ(gray.at(g, b), want) << r << "," << g << "," << b;
+        ASSERT_EQ(Bt601Gray(static_cast<std::uint8_t>(r),
+                            static_cast<std::uint8_t>(g),
+                            static_cast<std::uint8_t>(b)),
+                  want);
+      }
+    }
+  }
 }
 
 TEST(ColorTest, GrayToRgbReplicates) {
