@@ -126,16 +126,15 @@ Contour TraceBoundary(const ImageU8& binary, Point start) {
            pixels[static_cast<std::size_t>(y) * width + x] != 0;
   };
 
-  Contour contour;
-  contour.push_back(start);
-
   // Direction from the current pixel toward the background pixel the
   // search starts after; west of the first pixel is background.
   int backtrack_dir = 4;
+  int first_dir = -1;
   Point cur = start;
+  Contour contour;
 
-  // Bounded by 4x the component boundary length in practice; use a generous
-  // cap as a safety net against pathological masks.
+  // A safety net only: the stopping rule below ends every trace once it
+  // has gone round the border.
   const long cap = 4L * (static_cast<long>(width) + height + 4) * 8;
   for (long iter = 0; iter < cap; ++iter) {
     int found_dir = -1;
@@ -146,19 +145,22 @@ Contour TraceBoundary(const ImageU8& binary, Point start) {
         break;
       }
     }
-    if (found_dir < 0) {
-      // Isolated pixel.
-      return contour;
+    if (found_dir < 0) return Contour{start};  // Isolated pixel.
+    // Suzuki-Abe (OpenCV) stopping rule: back at the start and about to
+    // repeat the first move, every later step would repeat the trace.
+    // Re-entering the start from the west is not enough: a start pixel
+    // whose component continues only to the south-east is re-entered
+    // from another side.
+    if (cur == start) {
+      if (found_dir == first_dir) break;
+      if (first_dir < 0) first_dir = found_dir;
     }
+    contour.push_back(cur);
     cur = Point{cur.x + kDx[found_dir], cur.y + kDy[found_dir]};
     // The new backtrack is the (background) neighbour examined just before
     // the foreground one, seen from the new pixel: two steps clockwise
     // past the reverse of an axis move, three past a diagonal one.
     backtrack_dir = (found_dir + 6 - (found_dir & 1)) & 7;
-
-    // Jacob's stopping criterion: back at the start entered the same way.
-    if (cur == start && backtrack_dir == 4) break;
-    contour.push_back(cur);
   }
   return contour;
 }

@@ -67,8 +67,8 @@ inline Contour TraceBoundary(const Image<int>& labels, int label, Point start) {
     return labels.InBounds(x, y) && labels.at(y, x) == label;
   };
   Contour contour;
-  contour.push_back(start);
   int backtrack_dir = 4;  // The pixel west of `start` is background.
+  int first_dir = -1;
   Point cur = start;
   const long cap =
       4L * (static_cast<long>(labels.width()) + labels.height() + 4) * 8;
@@ -83,12 +83,16 @@ inline Contour TraceBoundary(const Image<int>& labels, int label, Point start) {
       }
       prev_checked = d;
     }
-    if (found_dir < 0) return contour;  // Isolated pixel.
+    if (found_dir < 0) return Contour{start};  // Isolated pixel.
+    // Closed when back at the start and about to repeat the first move.
+    if (cur == start) {
+      if (found_dir == first_dir) break;
+      if (first_dir < 0) first_dir = found_dir;
+    }
+    contour.push_back(cur);
     const Point b{cur.x + kDx[prev_checked], cur.y + kDy[prev_checked]};
     cur = Point{cur.x + kDx[found_dir], cur.y + kDy[found_dir]};
     backtrack_dir = DeltaToDir(b.x - cur.x, b.y - cur.y);
-    if (cur == start && backtrack_dir == 4) break;
-    contour.push_back(cur);
   }
   return contour;
 }

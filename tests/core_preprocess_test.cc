@@ -97,6 +97,21 @@ TEST(PreprocessTest, EqualLargestComponentsPickFirstInRasterOrder) {
   EXPECT_EQ(result->cropped_rgb.at(0, 0, 0), 200);
 }
 
+TEST(PreprocessTest, CornerWhiskerDoesNotInflateArea) {
+  // The 10x10 object's trace starts on a pixel touching its corner
+  // diagonally. Traced once round, it encloses less than the plain 14x14
+  // object, which must win.
+  ImageU8 img(60, 60, 3);
+  FillRect(img, 0, 0, 60, 60, Rgb{255, 255, 255});
+  FillRect(img, 6, 6, 10, 10, Rgb{200, 20, 20});
+  FillRect(img, 5, 5, 1, 1, Rgb{200, 20, 20});
+  FillRect(img, 30, 30, 14, 14, Rgb{20, 20, 200});
+  auto result = Preprocess(img, PreprocessOptions{});
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->cropped_rgb.width(), 14);
+  EXPECT_EQ(result->cropped_rgb.at(0, 0, 2), 200);
+}
+
 TEST(PreprocessTest, SingleChannelInputMatchesItsRgbExpansion) {
   ImageU8 gray(50, 40, 1, 255);
   FillRect(gray, 10, 8, 20, 15, Rgb{90, 90, 90});

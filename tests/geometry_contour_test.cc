@@ -133,6 +133,44 @@ TEST(FindContoursTest, ConcaveShapeTracedCorrectly) {
   EXPECT_GT(area, 40.0);
 }
 
+// Regressions for the stopping rule: a start pixel whose component
+// continues only to the south-east is re-entered from the south, never
+// from the west, and a trace that waited for the west looped to its cap.
+TEST(FindContoursTest, ThreePixelElbowTraceCloses) {
+  ImageU8 img = BinaryCanvas(4, 4);  // ##
+  img.at(0, 0) = 255;                // .#
+  img.at(0, 1) = 255;
+  img.at(1, 1) = 255;
+  const auto contours = FindContours(img);
+  ASSERT_EQ(contours.size(), 1u);
+  EXPECT_EQ(contours[0], (Contour{{0, 0}, {1, 0}, {1, 1}}));
+  EXPECT_DOUBLE_EQ(ContourArea(contours[0]), 0.5);
+}
+
+TEST(FindContoursTest, DiagonalPairTracesClose) {
+  ImageU8 down = BinaryCanvas(4, 4);  // #.
+  down.at(0, 0) = 255;                // .#
+  down.at(1, 1) = 255;
+  EXPECT_EQ(FindContours(down), (std::vector<Contour>{{{0, 0}, {1, 1}}}));
+
+  ImageU8 up = BinaryCanvas(4, 4);  // .#
+  up.at(0, 1) = 255;                // #.
+  up.at(1, 0) = 255;
+  EXPECT_EQ(FindContours(up), (std::vector<Contour>{{{1, 0}, {0, 1}}}));
+}
+
+TEST(FindContoursTest, CornerWhiskerDoesNotWindTheSquare) {
+  // A 10x10 square with one pixel touching its top-left corner
+  // diagonally: the trace starts on the whisker and goes round once.
+  ImageU8 img = BinaryCanvas(30, 30);
+  StampRect(img, 5, 5, 10, 10);
+  img.at(4, 4) = 255;
+  const auto contours = FindContours(img);
+  ASSERT_EQ(contours.size(), 1u);
+  EXPECT_EQ(contours[0].size(), 38u);  // 36 border pixels, whisker twice.
+  EXPECT_DOUBLE_EQ(ContourArea(contours[0]), 81.0);
+}
+
 TEST(FindContoursTest, EqualAreasKeepRasterOrder) {
   // Three 4x4 squares of equal area; their first pixels in raster order
   // are (12,1), (1,5), (7,9), which is not their left-to-right order.
