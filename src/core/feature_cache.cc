@@ -30,24 +30,22 @@ std::vector<ImageFeatures> ComputeFeatures(const Dataset& dataset,
     f.label = item.label;
     f.model_id = item.model_id;
 
+    auto mark_invalid = [&](Status status) {
+      f.status = std::move(status);
+      f.histogram = ColorHistogram(options.hist_bins);
+      invalid_counter.Increment();
+    };
+
     // Ingestion is the stage where a robot reads a frame off a sensor or
     // disk; an armed io-read fault marks the item unavailable (skipped
     // and recorded by batch evaluation) instead of killing the batch.
     if (FaultFires(FaultPoint::kIoRead)) {
-      f.status = FaultStatus(FaultPoint::kIoRead,
-                             StrFormat("ingest item %zu", idx));
-      f.histogram = ColorHistogram(options.hist_bins);
-      invalid_counter.Increment();
-      return;
+      return mark_invalid(FaultStatus(FaultPoint::kIoRead,
+                                      StrFormat("ingest item %zu", idx)));
     }
 
     auto result = Preprocess(item.image, preprocess);
-    if (!result.ok()) {
-      f.status = result.status();
-      f.histogram = ColorHistogram(options.hist_bins);
-      invalid_counter.Increment();
-      return;
-    }
+    if (!result.ok()) return mark_invalid(result.status());
     SNOR_TRACE_SPAN("features.histogram.compute");
     const PreprocessResult& pre = result.value();
     f.hu = pre.hu;

@@ -19,22 +19,11 @@ std::uint8_t Bt601Gray(std::uint8_t r, std::uint8_t g, std::uint8_t b) {
 ImageU8 RgbToGray(const ImageU8& rgb) {
   SNOR_CHECK_EQ(rgb.channels(), 3);
   ImageU8 gray(rgb.width(), rgb.height(), 1);
-  // `Bt601Gray` per pixel, with its tie test hoisted out of the first,
-  // branch-free loop: a row with a tie is revisited.
-  const int width = rgb.width();
   for (int y = 0; y < rgb.height(); ++y) {
     const std::uint8_t* in = rgb.Row(y);
     std::uint8_t* out = gray.Row(y);
-    bool tie = false;
-    for (int x = 0; x < width; ++x) {
-      const int s =
-          299 * in[3 * x] + 587 * in[3 * x + 1] + 114 * in[3 * x + 2] + 500;
-      out[x] = static_cast<std::uint8_t>(s / 1000);
-      tie |= s % 1000 == 0;
-    }
-    if (!tie) continue;
-    for (int x = 0; x < width; ++x) {
-      out[x] = Bt601Gray(in[3 * x], in[3 * x + 1], in[3 * x + 2]);
+    for (int x = 0; x < rgb.width(); ++x) {
+      out[x] = Bt601Gray(in[3 * x + 0], in[3 * x + 1], in[3 * x + 2]);
     }
   }
   return gray;
