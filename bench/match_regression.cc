@@ -13,12 +13,19 @@
 //      queries at the default candidate budget.
 //   3. Speed — exact-mode per-query `match_s` must stay within
 //      `max_exact_vs_cold_ratio` of the cold loop (the SoA kernels must
-//      never regress below the path they replaced), and the ANN path
-//      must be at least `min_ann_speedup` times faster than exact.
+//      never regress below the path they replaced). The ANN path must be
+//      at least `min_ann_speedup` times faster than the full-scan
+//      reference: exact mode's hybrid scan before the certified scan,
+//      timed through the public kernels on the engine's (query, shard)
+//      ParallelFor grid, which is what "exact" meant when that band was
+//      set. Exact mode, which runs the certified scan for the hybrid,
+//      must be at least `min_certified_speedup` times faster than the
+//      same reference, with the same labels, on the dense and the sparse
+//      gallery.
 //
-// The hybrid exact and ANN `match_s` and recall@1 on the sparse gallery
-// are reported too (`sparse_*` keys), as telemetry only: the bands above
-// are measured on the dense gallery.
+// The ANN `match_s`, speedup and recall@1 on the sparse gallery are
+// reported too (`sparse_*` keys), as telemetry only: the ANN bands are
+// measured on the dense gallery.
 //
 // The bands live in a checked-in baseline file (`--baseline PATH`, one
 // `key value` pair per line, `#` comments) so tightening the gate is a
@@ -38,7 +45,9 @@
 
 #include "bench_util.h"
 #include "core/experiment.h"
+#include "core/feature_bank.h"
 #include "serve/batch_engine.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace snor::serve {
@@ -49,6 +58,7 @@ struct GateBands {
   double max_exact_vs_cold_ratio = 1.5;
   double min_ann_speedup = 3.0;
   double min_ann_recall_at_1 = 0.99;
+  double min_certified_speedup = 2.0;
 };
 
 bool LoadBands(const std::string& path, GateBands* bands) {
@@ -66,6 +76,8 @@ bool LoadBands(const std::string& path, GateBands* bands) {
       bands->min_ann_speedup = value;
     } else if (std::strcmp(key, "min_ann_recall_at_1") == 0) {
       bands->min_ann_recall_at_1 = value;
+    } else if (std::strcmp(key, "min_certified_speedup") == 0) {
+      bands->min_certified_speedup = value;
     }
   }
   std::fclose(in);
@@ -120,6 +132,67 @@ double Agreement(const std::vector<ObjectClass>& ann,
                            static_cast<double>(ann.size());
 }
 
+/// The full-scan reference for a hybrid spec: per-view modality scores
+/// of every (query, shard) task into the query's shared rows on the
+/// engine's ParallelFor grid and shard split, then HybridOutcome. This is
+/// exact mode's hybrid scan as it ran before the certified scan.
+class FullScanReference {
+ public:
+  FullScanReference(const ApproachSpec& spec,
+                    const std::vector<ImageFeatures>& gallery)
+      : spec_(spec), bank_(PackFeatureBank(gallery)) {
+    const std::size_t n = bank_.size();
+    const std::size_t shards = std::max<std::size_t>(
+        1, std::min<std::size_t>(
+               static_cast<std::size_t>(DefaultThreadCount()), n));
+    for (std::size_t s = 0, begin = 0; s < shards; ++s) {
+      const std::size_t size = n / shards + (s < n % shards ? 1 : 0);
+      shards_.push_back({begin, begin + size});
+      begin += size;
+    }
+  }
+
+  std::vector<ObjectClass> Classify(
+      const std::vector<const ImageFeatures*>& queries) const {
+    const std::size_t per_query = shards_.size();
+    std::vector<HybridScores> rows;
+    rows.reserve(queries.size());
+    for (const ImageFeatures* q : queries) {
+      rows.emplace_back(bank_.size(), ShapeModalityUsable(*q),
+                        ColorModalityUsable(*q));
+    }
+    std::vector<std::pair<std::size_t, std::size_t>> counts(
+        queries.size() * per_query, {0, 0});
+    ParallelFor(queries.size() * per_query, [&](std::size_t task) {
+      HybridScores& row = rows[task / per_query];
+      if (!row.use_shape && !row.use_color) return;
+      const auto [begin, end] = shards_[task % per_query];
+      BankHybridScoresOverRange(*queries[task / per_query], bank_, begin, end,
+                                spec_.shape, spec_.color, row.use_shape,
+                                row.use_color, &row.shape, &row.color,
+                                &counts[task].first, &counts[task].second);
+    });
+    std::vector<ObjectClass> labels;
+    labels.reserve(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      for (std::size_t t = q * per_query; t < (q + 1) * per_query; ++t) {
+        rows[q].shape_usable += counts[t].first;
+        rows[q].color_usable += counts[t].second;
+      }
+      labels.push_back(HybridOutcome(rows[q], spec_.alpha, spec_.beta,
+                                     spec_.strategy, bank_,
+                                     bank_.labels.front())
+                           .label);
+    }
+    return labels;
+  }
+
+ private:
+  ApproachSpec spec_;
+  FeatureBank bank_;
+  std::vector<std::pair<std::size_t, std::size_t>> shards_;
+};
+
 int Fail(const char* what) {
   std::fprintf(stderr, "match_regression: GATE FAILURE: %s\n", what);
   return 1;
@@ -147,10 +220,11 @@ int Run(const std::string& baseline_path) {
                  baseline_path.c_str());
     return 2;
   }
-  std::printf("bands (%s): exact<=%.2fx cold | ann>=%.2fx exact | "
-              "recall@1>=%.3f\n",
+  std::printf("bands (%s): exact<=%.2fx cold | ann>=%.2fx full scan | "
+              "recall@1>=%.3f | exact>=%.2fx full scan\n",
               baseline_path.c_str(), bands.max_exact_vs_cold_ratio,
-              bands.min_ann_speedup, bands.min_ann_recall_at_1);
+              bands.min_ann_speedup, bands.min_ann_recall_at_1,
+              bands.min_certified_speedup);
 
   const bool quick = snor::bench::QuickMode();
   const std::size_t gallery_size = quick ? 1024 : 2048;
@@ -205,6 +279,7 @@ int Run(const std::string& baseline_path) {
   spec.beta = 0.7;
 
   auto cold = MakeClassifier(spec, gallery, seed);
+  const FullScanReference reference(spec, gallery);
   BatchEngineOptions exact_options;
   auto exact = BatchEngine::Create(spec, gallery, exact_options, seed);
   BatchEngineOptions ann_options;
@@ -214,25 +289,35 @@ int Run(const std::string& baseline_path) {
     return Fail("hybrid engine construction failed");
   }
 
-  const double ann_recall_at_1 = Agreement(ann.value()->ClassifyBatch(batch),
-                                           exact.value()->ClassifyBatch(batch));
+  const std::vector<ObjectClass> exact_labels =
+      exact.value()->ClassifyBatch(batch);
+  if (exact_labels != reference.Classify(batch)) {
+    return Fail("exact mode diverges from the full-scan reference (dense)");
+  }
+  const double ann_recall_at_1 =
+      Agreement(ann.value()->ClassifyBatch(batch), exact_labels);
 
   const double cold_s = BestMatchSeconds(
       [&] { (void)cold.value()->ClassifyAll(queries); }, query_count, reps);
+  const double reference_s = BestMatchSeconds(
+      [&] { (void)reference.Classify(batch); }, query_count, reps);
   const double exact_s = BestMatchSeconds(
       [&] { (void)exact.value()->ClassifyBatch(batch); }, query_count, reps);
   const double ann_s = BestMatchSeconds(
       [&] { (void)ann.value()->ClassifyBatch(batch); }, query_count, reps);
   const double exact_vs_cold = cold_s > 0.0 ? exact_s / cold_s : 0.0;
-  const double ann_speedup = ann_s > 0.0 ? exact_s / ann_s : 0.0;
+  const double ann_speedup = ann_s > 0.0 ? reference_s / ann_s : 0.0;
+  const double certified_speedup = exact_s > 0.0 ? reference_s / exact_s : 0.0;
 
-  std::printf("match_s: cold %.3gs | exact %.3gs (%.2fx of cold) | ann "
-              "%.3gs (%.2fx speedup) | recall@1 %.4f\n",
-              cold_s, exact_s, exact_vs_cold, ann_s, ann_speedup,
-              ann_recall_at_1);
+  std::printf("match_s: cold %.3gs | full scan %.3gs | exact %.3gs (%.2fx "
+              "of cold, %.2fx speedup) | ann %.3gs (%.2fx speedup) | "
+              "recall@1 %.4f\n",
+              cold_s, reference_s, exact_s, exact_vs_cold, certified_speedup,
+              ann_s, ann_speedup, ann_recall_at_1);
 
-  // ---- Telemetry: the same exact-vs-ANN comparison on rendered-occupancy
-  // histograms, where the ANN path's colour retrieval reads sparse rows.
+  // ---- The same comparisons on rendered-occupancy histograms, where the
+  // colour kernels and the ANN path's colour retrieval read sparse rows.
+  const FullScanReference sparse_reference(spec, sparse_gallery);
   auto sparse_exact =
       BatchEngine::Create(spec, sparse_gallery, exact_options, seed);
   auto sparse_ann =
@@ -242,9 +327,16 @@ int Run(const std::string& baseline_path) {
   }
   const std::vector<const ImageFeatures*> sparse_batch =
       Pointers(sparse_queries);
-  const double sparse_ann_recall_at_1 =
-      Agreement(sparse_ann.value()->ClassifyBatch(sparse_batch),
-                sparse_exact.value()->ClassifyBatch(sparse_batch));
+  const std::vector<ObjectClass> sparse_exact_labels =
+      sparse_exact.value()->ClassifyBatch(sparse_batch);
+  if (sparse_exact_labels != sparse_reference.Classify(sparse_batch)) {
+    return Fail("exact mode diverges from the full-scan reference (sparse)");
+  }
+  const double sparse_ann_recall_at_1 = Agreement(
+      sparse_ann.value()->ClassifyBatch(sparse_batch), sparse_exact_labels);
+  const double sparse_reference_s = BestMatchSeconds(
+      [&] { (void)sparse_reference.Classify(sparse_batch); }, query_count,
+      reps);
   const double sparse_exact_s = BestMatchSeconds(
       [&] { (void)sparse_exact.value()->ClassifyBatch(sparse_batch); },
       query_count, reps);
@@ -252,11 +344,14 @@ int Run(const std::string& baseline_path) {
       [&] { (void)sparse_ann.value()->ClassifyBatch(sparse_batch); },
       query_count, reps);
   const double sparse_ann_speedup =
-      sparse_ann_s > 0.0 ? sparse_exact_s / sparse_ann_s : 0.0;
-  std::printf("sparse match_s (telemetry): exact %.3gs | ann %.3gs (%.2fx "
-              "speedup) | recall@1 %.4f\n",
-              sparse_exact_s, sparse_ann_s, sparse_ann_speedup,
-              sparse_ann_recall_at_1);
+      sparse_ann_s > 0.0 ? sparse_reference_s / sparse_ann_s : 0.0;
+  const double sparse_certified_speedup =
+      sparse_exact_s > 0.0 ? sparse_reference_s / sparse_exact_s : 0.0;
+  std::printf("sparse match_s: full scan %.3gs | exact %.3gs (%.2fx "
+              "speedup) | ann %.3gs (%.2fx speedup, telemetry) | recall@1 "
+              "%.4f (telemetry)\n",
+              sparse_reference_s, sparse_exact_s, sparse_certified_speedup,
+              sparse_ann_s, sparse_ann_speedup, sparse_ann_recall_at_1);
 
   snor::bench::BenchResults telemetry;
   telemetry.emplace_back("identity_approaches",
@@ -264,12 +359,16 @@ int Run(const std::string& baseline_path) {
   telemetry.emplace_back("gallery_views", static_cast<double>(gallery_size));
   telemetry.emplace_back("queries", static_cast<double>(query_count));
   telemetry.emplace_back("cold_match_s", cold_s);
+  telemetry.emplace_back("reference_match_s", reference_s);
   telemetry.emplace_back("exact_match_s", exact_s);
+  telemetry.emplace_back("certified_speedup", certified_speedup);
   telemetry.emplace_back("exact_vs_cold_ratio", exact_vs_cold);
   telemetry.emplace_back("ann_match_s", ann_s);
   telemetry.emplace_back("ann_speedup", ann_speedup);
   telemetry.emplace_back("ann_recall_at_1", ann_recall_at_1);
+  telemetry.emplace_back("sparse_reference_match_s", sparse_reference_s);
   telemetry.emplace_back("sparse_exact_match_s", sparse_exact_s);
+  telemetry.emplace_back("sparse_certified_speedup", sparse_certified_speedup);
   telemetry.emplace_back("sparse_ann_match_s", sparse_ann_s);
   telemetry.emplace_back("sparse_ann_speedup", sparse_ann_speedup);
   telemetry.emplace_back("sparse_ann_recall_at_1", sparse_ann_recall_at_1);
@@ -277,6 +376,7 @@ int Run(const std::string& baseline_path) {
                          bands.max_exact_vs_cold_ratio);
   telemetry.emplace_back("min_ann_speedup", bands.min_ann_speedup);
   telemetry.emplace_back("min_ann_recall_at_1", bands.min_ann_recall_at_1);
+  telemetry.emplace_back("min_certified_speedup", bands.min_certified_speedup);
   snor::bench::EmitBenchJson("match_regression", telemetry);
 
   if (ann_recall_at_1 < bands.min_ann_recall_at_1) {
@@ -287,6 +387,10 @@ int Run(const std::string& baseline_path) {
   }
   if (ann_speedup < bands.min_ann_speedup) {
     return Fail("ann speedup below the baseline band");
+  }
+  if (certified_speedup < bands.min_certified_speedup ||
+      sparse_certified_speedup < bands.min_certified_speedup) {
+    return Fail("exact-mode speedup over the full scan below the band");
   }
   std::printf("all match-regression gates passed\n");
   return 0;

@@ -227,6 +227,59 @@ BENCHMARK(BM_BankColorArgbest)
     ->Args({1024, 24})
     ->Args({4096, 24});
 
+/// `view_s` is seconds of matching per (query, gallery view) pair.
+void SetViewSeconds(benchmark::State& state, std::size_t pairs_per_iter) {
+  state.counters["view_s"] = benchmark::Counter(
+      static_cast<double>(pairs_per_iter),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+// The paper's best approach (weighted-sum Hu-L3 + Hellinger, alpha 0.3,
+// beta 0.7) over rendered-occupancy rows (24 of 512 bins): the full scan
+// exact mode runs for every other approach, then the certified scan that
+// answers this one. Arg: gallery views.
+void BM_BankHybridFullScan(benchmark::State& state) {
+  const auto gallery = RandomGallery(
+      static_cast<std::size_t>(state.range(0)), 11, 24);
+  const auto queries = RandomGallery(16, 12, 24);
+  const FeatureBank bank = PackFeatureBank(gallery);
+  for (auto _ : state) {
+    for (const ImageFeatures& q : queries) {
+      HybridScores scores(bank.size(), true, true);
+      BankHybridScoresOverRange(q, bank, 0, bank.size(), ShapeMatchMethod::kI3,
+                                HistCompareMethod::kHellinger, true, true,
+                                &scores.shape, &scores.color,
+                                &scores.shape_usable, &scores.color_usable);
+      benchmark::DoNotOptimize(HybridOutcome(scores, 0.3, 0.7,
+                                             HybridStrategy::kWeightedSum,
+                                             bank, bank.labels.front()));
+    }
+  }
+  SetViewSeconds(state, queries.size() * bank.size());
+}
+BENCHMARK(BM_BankHybridFullScan)->Arg(1024)->Arg(4096);
+
+void BM_BankHybridCertified(benchmark::State& state) {
+  const auto gallery = RandomGallery(
+      static_cast<std::size_t>(state.range(0)), 11, 24);
+  const auto queries = RandomGallery(16, 12, 24);
+  const FeatureBank bank = PackFeatureBank(gallery);
+  std::size_t exact_evals = 0;
+  for (auto _ : state) {
+    for (const ImageFeatures& q : queries) {
+      benchmark::DoNotOptimize(BankHybridCertifiedArgminOverRange(
+          q, bank, 0, bank.size(), ShapeMatchMethod::kI3, 0.3, 0.7,
+          &exact_evals));
+    }
+  }
+  SetViewSeconds(state, queries.size() * bank.size());
+  state.counters["exact_evals_per_query"] = benchmark::Counter(
+      static_cast<double>(exact_evals) /
+      static_cast<double>(queries.size() * state.iterations()));
+}
+BENCHMARK(BM_BankHybridCertified)->Arg(1024)->Arg(4096);
+
 // Args: gallery views, occupied bins per histogram (0 = all 512). Colour
 // retrieval reads each row's nonzero bins, so the two occupancies time its
 // full-row loop and its sparse-row loop.

@@ -21,7 +21,7 @@ std::vector<double> AssembleHybridTheta(const HybridScores& scores,
   for (std::size_t i = 0; i < n; ++i) {
     if (shape_live && color_live) {
       if (scores.shape[i] < kHuge && scores.color[i] < kHuge) {
-        theta[i] = alpha * scores.shape[i] + beta * scores.color[i];
+        theta[i] = HybridTheta(alpha, scores.shape[i], beta, scores.color[i]);
       }
     } else if (shape_live) {
       theta[i] = scores.shape[i];

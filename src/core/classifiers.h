@@ -162,6 +162,15 @@ struct HybridScores {
   std::size_t color_usable = 0;
 };
 
+/// theta = alpha * S + beta * C of one view with both modalities live.
+/// The full scan's theta and the certified scan's theta and its lower
+/// bound (core/feature_bank.h) all come from this one expression, so
+/// they round alike.
+[[nodiscard]] inline double HybridTheta(double alpha, double shape,
+                                        double beta, double color) {
+  return alpha * shape + beta * color;
+}
+
 /// The hybrid answer (§3.2) from one query's per-view scores. A modality
 /// whose every view score is unusable collapses and the surviving one
 /// drives theta alone (a kShapeOnly / kColorOnly degradation); both live

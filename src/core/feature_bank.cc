@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -24,6 +25,53 @@ constexpr double kHuge = kUnusableScore;
 std::size_t PadStride(std::size_t logical, std::size_t elem_size) {
   const std::size_t lane = 64 / elem_size;
   return (logical + lane - 1) / lane * lane;
+}
+
+// A bound group is one padded cache line of a dense row, so pack can take
+// the group masses in its block loop.
+static_assert(FeatureBank::kBoundGroupBins == 64 / sizeof(double));
+
+/// The float nearest `x` from above, so a bound factor never rounds down.
+float RoundUpToFloat(double x) {
+  float f = static_cast<float>(x);
+  if (static_cast<double>(f) < x) {
+    f = std::nextafter(f, std::numeric_limits<float>::infinity());
+  }
+  return f;
+}
+
+/// Writes one certified-bound row, sqrt(group mass / mass) rounded up, from
+/// the group masses of a finite, non-negative histogram. Returns false,
+/// writing nothing, when `mass` is outside the certified mass range (NaN
+/// and infinite masses included).
+bool FillBoundRow(const double* group_mass, std::size_t groups, double mass,
+                  float* row) {
+  if (!(mass >= kMinCertifiedMass && mass <= kMaxCertifiedMass)) return false;
+  for (std::size_t g = 0; g < groups; ++g) {
+    row[g] = group_mass[g] == 0.0
+                 ? 0.0f
+                 : RoundUpToFloat(std::sqrt(group_mass[g] / mass));
+  }
+  return true;
+}
+
+/// sum_k a[k] * b[k] accumulated in float across eight independent lanes,
+/// which break the serial dependence chain so the reduction vectorizes
+/// without -ffast-math. Kept out of line: inlined into the retrieval
+/// loop, GCC 12 vectorizes it with in-order scalar lane sums instead and
+/// the full-row scan runs about twice as slow.
+[[gnu::noinline]] float ContiguousDot(const float* a, const float* b,
+                                      std::size_t n) {
+  constexpr std::size_t kLanes = 8;
+  float lanes[kLanes] = {};
+  std::size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) lanes[l] += a[k + l] * b[k + l];
+  }
+  float tail = 0.0f;
+  for (; k < n; ++k) tail += a[k] * b[k];
+  return ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5])) +
+         ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7])) + tail;
 }
 
 }  // namespace
@@ -46,6 +94,10 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
   bank.model_ids.resize(bank.num_views);
   bank.hu_maps.resize(bank.num_views);
   bank.hist_sums.resize(bank.num_views);
+  bank.bound_groups = bank.hist_stride / FeatureBank::kBoundGroupBins;
+  bank.bound.assign(bank.num_views * bank.bound_groups, 0.0f);
+  bank.bound_ok.assign(bank.num_views, 0);
+  std::vector<double> group_mass(bank.bound_groups);
 
   for (std::size_t i = 0; i < bank.num_views; ++i) {
     const ImageFeatures& view = gallery[i];
@@ -63,6 +115,7 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
     bank.hu_maps[i] = MakeLogHuMap(view.hu.data());
     const double* row = bank.hist.data() + i * bank.hist_stride;
     double sum = 0.0;
+    bool negative = false;
     for (std::size_t block = 0; block < bank.hist_stride; block += 8) {
       // Rendered rows are mostly empty, so test a whole cache line of
       // bins for ±0.0 at once (shifting out the sign bit) before testing
@@ -71,6 +124,8 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
       std::memcpy(words, row + block, sizeof(words));
       std::uint64_t magnitude_bits = 0;
       for (const std::uint64_t w : words) magnitude_bits |= w << 1;
+      double& block_mass = group_mass[block / 8];
+      block_mass = 0.0;
       if (magnitude_bits == 0) continue;
       for (std::size_t k = block; k < block + 8; ++k) {
         // Adding ±0.0 to an ascending sum that starts at +0.0 never
@@ -78,12 +133,18 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
         // bitwise.
         if (row[k] == 0.0) continue;
         sum += row[k];
+        block_mass += row[k];
+        negative = negative || row[k] < 0.0;
         bank.nz_bins.push_back(static_cast<std::uint32_t>(k));
         bank.nz_values.push_back(row[k]);
       }
     }
     bank.hist_sums[i] = sum;
     bank.nz_offsets[i + 1] = bank.nz_bins.size();
+    // A finite sum rules out NaN and infinite bins.
+    bank.bound_ok[i] =
+        !negative && FillBoundRow(group_mass.data(), bank.bound_groups, sum,
+                                  bank.bound.data() + i * bank.bound_groups);
   }
 
   static obs::Gauge& views_gauge =
@@ -99,7 +160,8 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
       bank.model_ids.size() * sizeof(int) +
       bank.hu_maps.size() * sizeof(LogHuMap) +
       bank.nz_offsets.size() * sizeof(std::size_t) +
-      bank.nz_bins.size() * sizeof(std::uint32_t)));
+      bank.nz_bins.size() * sizeof(std::uint32_t) +
+      bank.bound.size() * sizeof(float) + bank.bound_ok.size()));
   return bank;
 }
 
@@ -160,13 +222,14 @@ PartialBest ShapeArgminOver(const ImageFeatures& input,
                             const FeatureBank& bank, const Views& views,
                             ShapeMatchMethod method) {
   const LogHuMap q_map = MakeLogHuMap(input.hu.data());
+  const bool poison = NanScoreArmed();
   PartialBest partial;
   partial.score = kHuge;
   for (const auto idx : views) {
     const auto i = static_cast<std::size_t>(idx);
     if (!bank.IsValid(i)) continue;
-    const double d = MaybePoisonScore(
-        MatchShapesFromMaps(q_map, bank.hu_maps[i], method));
+    double d = MatchShapesFromMaps(q_map, bank.hu_maps[i], method);
+    if (poison) d = MaybePoisonScore(d);
     if (!std::isfinite(d)) continue;  // Poisoned view: skip, don't crash.
     if (d < partial.score) {
       partial.score = d;
@@ -213,12 +276,13 @@ void HybridScoresOver(const ImageFeatures& input, const FeatureBank& bank,
   const LogHuMap q_map = MakeLogHuMap(input.hu.data());
   const double* q_hist = input.histogram.bins().data();
   const double q_sum = input.histogram.TotalMass();
+  const bool poison = NanScoreArmed();
   for (const auto idx : views) {
     const auto i = static_cast<std::size_t>(idx);
     if (!bank.IsValid(i)) continue;
     if (use_shape) {
-      const double s = MaybePoisonScore(
-          MatchShapesFromMaps(q_map, bank.hu_maps[i], shape_method));
+      double s = MatchShapesFromMaps(q_map, bank.hu_maps[i], shape_method);
+      if (poison) s = MaybePoisonScore(s);
       if (std::isfinite(s) && s < kHuge) {
         (*shape_scores)[i] = s;
         ++*shape_usable;
@@ -260,6 +324,90 @@ void BankHybridScoresOverRange(
   HybridScoresOver(input, bank, IndexRange{begin, end}, shape_method,
                    color_method, use_shape, use_color, shape_scores,
                    color_scores, shape_usable, color_usable);
+}
+
+HellingerLowerBound::HellingerLowerBound(const ImageFeatures& query,
+                                         const FeatureBank& bank)
+    : bank_(&bank),
+      query_row_(bank.bound_groups),
+      margin_(CertifiedBoundMargin(bank.hist_bins, bank.bound_groups)) {
+  SNOR_CHECK_EQ(query.histogram.num_bins(), bank.hist_bins);
+  const double* q = query.histogram.bins().data();
+  std::vector<double> group_mass(bank.bound_groups, 0.0);
+  bool usable = true;
+  for (std::size_t k = 0; k < bank.hist_bins; ++k) {
+    usable = usable && std::isfinite(q[k]) && q[k] >= 0.0;
+    group_mass[k / FeatureBank::kBoundGroupBins] += q[k];
+  }
+  certified_ = usable && FillBoundRow(group_mass.data(), bank.bound_groups,
+                                      query.histogram.TotalMass(),
+                                      query_row_.data());
+}
+
+double HellingerLowerBound::operator()(std::size_t i) const {
+  if (!certified_ || bank_->bound_ok[i] == 0) return 0.0;
+  const double bc =
+      ContiguousDot(query_row_.data(), bank_->BoundRow(i), bank_->bound_groups);
+  return std::sqrt(std::max(0.0, 1.0 - (bc * (1.0 + margin_) + margin_)));
+}
+
+PartialBest BankHybridCertifiedArgminOverRange(
+    const ImageFeatures& input, const FeatureBank& bank, std::size_t begin,
+    std::size_t end, ShapeMatchMethod shape_method, double alpha, double beta,
+    std::size_t* exact_evals) {
+  SNOR_CHECK(std::isfinite(alpha) && std::isfinite(beta) && alpha >= 0.0 &&
+             beta >= 0.0);
+  SNOR_CHECK_EQ(input.histogram.num_bins(), bank.hist_bins);
+  constexpr HistCompareMethod kHellinger = HistCompareMethod::kHellinger;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  PartialBest partial;
+  partial.score = kHuge;
+  if (begin >= end) return partial;
+
+  const LogHuMap q_map = MakeLogHuMap(input.hu.data());
+  const double* q = input.histogram.bins().data();
+  const double q_sum = input.histogram.TotalMass();
+  const HellingerLowerBound h_lower(input, bank);
+
+  // Exact S and θ_lb of every view; +inf marks a view whose θ cannot be
+  // usable (invalid view, unusable S, or α * S overflowing).
+  const std::size_t n = end - begin;
+  std::vector<double> shape(n);
+  std::vector<double> lower(n, kInf);
+  std::size_t first = end;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (!bank.IsValid(i)) continue;
+    const double s = MatchShapesFromMaps(q_map, bank.hu_maps[i], shape_method);
+    if (!std::isfinite(s) || s >= kHuge) continue;
+    shape[i - begin] = s;
+    lower[i - begin] = HybridTheta(alpha, s, beta, h_lower(i));
+    if (first == end || lower[i - begin] < lower[first - begin]) first = i;
+  }
+  if (first == end || lower[first - begin] == kInf) return partial;
+
+  // The argmin-θ_lb view first, then every view whose bound could still
+  // beat or tie the best θ; equal θ goes to the lower index.
+  std::size_t best = end;
+  const auto score = [&](std::size_t i) {
+    ++*exact_evals;
+    const double c = HybridColorDistanceFromScore(
+        RowColorScore(q, q_sum, bank, i, kHellinger), kHellinger);
+    if (!std::isfinite(c)) return;
+    const double theta = HybridTheta(alpha, shape[i - begin], beta, c);
+    if (!(theta < kHuge)) return;
+    if (theta < partial.score || (theta == partial.score && i < best)) {
+      partial.score = theta;
+      best = i;
+    }
+  };
+  score(first);
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i != first && lower[i - begin] <= partial.score) score(i);
+  }
+  if (best == end) return partial;
+  partial.label = bank.labels[best];
+  partial.found = true;
+  return partial;
 }
 
 PartialBest BankShapeArgminOverCandidates(const ImageFeatures& input,
@@ -399,25 +547,6 @@ std::vector<int> TopRIds(std::vector<std::pair<Score, int>>* scored,
   for (std::size_t i = 0; i < r; ++i) ids.push_back((*scored)[i].second);
   std::sort(ids.begin(), ids.end());
   return ids;
-}
-
-/// sum_k a[k] * b[k] accumulated in float across eight independent lanes,
-/// which break the serial dependence chain so the reduction vectorizes
-/// without -ffast-math. Kept out of line: inlined into the retrieval
-/// loop, GCC 12 vectorizes it with in-order scalar lane sums instead and
-/// the full-row scan runs about twice as slow.
-[[gnu::noinline]] float ContiguousDot(const float* a, const float* b,
-                                      std::size_t n) {
-  constexpr std::size_t kLanes = 8;
-  float lanes[kLanes] = {};
-  std::size_t k = 0;
-  for (; k + kLanes <= n; k += kLanes) {
-    for (std::size_t l = 0; l < kLanes; ++l) lanes[l] += a[k + l] * b[k + l];
-  }
-  float tail = 0.0f;
-  for (; k < n; ++k) tail += a[k] * b[k];
-  return ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5])) +
-         ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7])) + tail;
 }
 
 /// sum_k sqrt_q[bins[k]] * row_sqrt[k] over one row's `nnz` nonzero

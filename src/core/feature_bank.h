@@ -36,6 +36,60 @@
 /// and merged in shard order answers exactly like one full scan.
 /// The differential fuzz tests in tests/core_feature_bank_test.cc check
 /// every kernel against a dense per-pair reference.
+///
+/// Certified scan. `BankHybridCertifiedArgminOverRange` answers the
+/// paper's best approach (weighted-sum hybrid with Hellinger) without
+/// scoring every view's colour. It ranks views by a proven lower bound
+/// θ_lb <= θ and runs the exact colour kernel only on views whose bound
+/// could still beat, or tie, the best θ found so far.
+///
+///  - The bound. Split the bins into groups g of kBoundGroupBins
+///    contiguous bins (one padded cache line of a dense row; at 8 bins per
+///    channel a group is one blue axis). Cauchy-Schwarz within each group
+///    gives sum_{k in g} sqrt(q_k v_k) <= sqrt(Q_g V_g), so the
+///    Bhattacharyya coefficient BC = sum_k sqrt(q_k v_k) / sqrt(Q V) is at
+///    most sum_g sqrt(Q_g / Q) * sqrt(V_g / V). The bank keeps one float
+///    row of sqrt(V_g / V) per view, the query one of sqrt(Q_g / Q), both
+///    rounded up from double, and D = their float dot product. Then
+///    H_lb = sqrt(max(0, 1 - (D * (1 + m) + m))) and
+///    θ_lb = HybridTheta(α, S, β, H_lb), with S the view's exact shape
+///    score.
+///  - The margin m (CertifiedBoundMargin). With γ_n(u) = n u / (1 - n u)
+///    (Higham's bound on n roundings at unit roundoff u), f = 2^-24 and
+///    d = 2^-53, for n bins and G groups:
+///      * the G-term float dot D is at least (1 - γ_G(f)) times the exact
+///        dot of its rounded-up factors;
+///      * each factor is at least (1 - γ_{n+10}(d)) times its real value:
+///        group sums of <= 8 and row sums of n non-negative terms, one
+///        division and one sqrt, all in double;
+///      * the exact kernel's coefficient, computed from HellingerFromSums'
+///        three sums, is at most (1 + γ_{2n+8}(d)) times the real BC;
+///      * underflow adds at most n 2^-537 / sqrt(Q V) + G 2^-149, below
+///        2^-100 over the certified mass range.
+///    So the computed coefficient is at most D (1 + m0) + 2^-100 with
+///    m0 = 2 γ_G(f) + γ_{4n+32}(d), and m = 2 m0 also absorbs the cross
+///    terms and the rounding of D * (1 + m) + m itself. Rounding to
+///    nearest is monotone, so a computed upper bound on the coefficient
+///    gives H_lb <= H and then θ_lb <= θ in floating point, bit for bit.
+///  - Rows it cannot certify. A row that is non-finite, has a negative
+///    bin, or has a mass outside [kMinCertifiedMass, kMaxCertifiedMass]
+///    (zero mass included; the range keeps every product and mean of the
+///    kernel inside double's normal range) gets H_lb = 0 and so is always
+///    scored exactly. A query outside the same rules gives every row
+///    H_lb = 0.
+///  - The scan. It computes S and θ_lb for every view of the range,
+///    scores the argmin-θ_lb view exactly, then makes one ascending pass
+///    that scores a view only while θ_lb <= best θ. Equal θ goes to the
+///    lower index, so the partial (θ, label) is the full scan's first
+///    strict minimum of θ over views with both scores usable.
+///  - Eligibility is the caller's (BatchEngine's exact mode): weighted
+///    sum with Hellinger, α and β finite and >= 0, both query modalities
+///    usable and nan-score disarmed (NanScoreArmed). A partial that finds
+///    nothing (no view with both scores usable) is not an answer: the
+///    caller then runs the full scan, which decides the degradation.
+///    Everything else (micro and macro averaging, the other metrics,
+///    degraded queries, armed faults) keeps the full scan, the single
+///    reference kernel the cold classifiers run.
 
 #include <cstddef>
 #include <cstdint>
@@ -58,6 +112,8 @@ namespace snor {
 struct FeatureBank {
   /// Hu rows are 7 moments + 1 zero pad lane.
   static constexpr std::size_t kHuStride = 8;
+  /// Contiguous histogram bins per certified-bound group.
+  static constexpr std::size_t kBoundGroupBins = 8;
 
   std::size_t num_views = 0;
   /// Histogram geometry shared by every view (validated at pack time).
@@ -85,6 +141,13 @@ struct FeatureBank {
   std::vector<std::size_t> nz_offsets;  ///< num_views + 1.
   std::vector<std::uint32_t> nz_bins;
   std::vector<double> nz_values;
+  /// Certified-bound rows (see "Certified scan" above): bound_groups
+  /// floats per view, sqrt(group mass / row mass) rounded up, filled in the
+  /// same pass as the nonzero-bin lists. bound_ok[i] is 0 for a row the
+  /// bound cannot certify; its float row is then zero and never read.
+  std::size_t bound_groups = 0;  ///< hist_stride / kBoundGroupBins.
+  std::vector<float> bound;
+  std::vector<std::uint8_t> bound_ok;
 
   std::size_t size() const { return num_views; }
   bool empty() const { return num_views == 0; }
@@ -95,8 +158,29 @@ struct FeatureBank {
   const double* HistRow(std::size_t i) const {
     return hist.data() + i * hist_stride;
   }
+  const float* BoundRow(std::size_t i) const {
+    return bound.data() + i * bound_groups;
+  }
   bool IsValid(std::size_t i) const { return valid[i] != 0; }
 };
+
+/// Masses a certified-bound row or query may have.
+inline constexpr double kMinCertifiedMass = 0x1p-400;
+inline constexpr double kMaxCertifiedMass = 0x1p+400;
+
+/// γ_n(u) = n u / (1 - n u).
+constexpr double RoundingGamma(double n, double unit_roundoff) {
+  return n * unit_roundoff / (1.0 - n * unit_roundoff);
+}
+
+/// The margin m of the certified Hellinger bound for rows of `bins` bins
+/// in `groups` groups, derived in "Certified scan" above: 1.5e-5 for 512
+/// bins in 64 groups.
+constexpr double CertifiedBoundMargin(std::size_t bins, std::size_t groups) {
+  const double n = static_cast<double>(bins);
+  return 2.0 * (2.0 * RoundingGamma(static_cast<double>(groups), 0x1p-24) +
+                RoundingGamma(4.0 * n + 32.0, 0x1p-53));
+}
 
 /// Packs a gallery into an SoA bank. Bin values, Hu moments, labels and
 /// validity are copied exactly (no renormalization — pack/unpack is a
@@ -137,6 +221,38 @@ void BankHybridScoresOverRange(
     HistCompareMethod color_method, bool use_shape, bool use_color,
     std::vector<double>* shape_scores, std::vector<double>* color_scores,
     std::size_t* shape_usable, std::size_t* color_usable);
+
+/// \brief The certified Hellinger lower bound H_lb of one query against
+/// the rows of one bank (see "Certified scan" above). For every row whose
+/// exact Hellinger score against the query is finite, H_lb(i) <= that
+/// score, bit for bit in floating point. It borrows the bank.
+class HellingerLowerBound {
+ public:
+  HellingerLowerBound(const ImageFeatures& query, const FeatureBank& bank);
+
+  /// H_lb of bank row `i`; 0 when the row or the query is not certified.
+  [[nodiscard]] double operator()(std::size_t i) const;
+
+ private:
+  const FeatureBank* bank_;
+  /// The query's sqrt(group mass / mass) row, rounded up.
+  std::vector<float> query_row_;
+  double margin_;
+  bool certified_ = false;
+};
+
+/// Certified partial argmin of the weighted-sum hybrid with Hellinger over
+/// bank views [begin, end) (see "Certified scan" above): the lowest-index
+/// view of minimal θ = HybridTheta(alpha, S, beta, H) among views with a
+/// usable shape score S and a finite H, as PartialBest{θ, label}, bit for
+/// bit the full scan's. Requires alpha and beta finite and >= 0, and is
+/// meant for a query whose shape and colour modalities are both usable,
+/// with nan-score disarmed. Adds the number of exact colour scores it ran
+/// to `*exact_evals`.
+[[nodiscard]] PartialBest BankHybridCertifiedArgminOverRange(
+    const ImageFeatures& input, const FeatureBank& bank, std::size_t begin,
+    std::size_t end, ShapeMatchMethod shape_method, double alpha, double beta,
+    std::size_t* exact_evals);
 
 /// Candidate-subset variants of the kernels above, used by the ANN
 /// exact-rerank path: identical per-view arithmetic and skip rules, but

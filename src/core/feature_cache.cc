@@ -18,7 +18,12 @@ std::vector<ImageFeatures> ComputeFeatures(const Dataset& dataset,
       obs::MetricsRegistry::Global().counter("core.feature_cache.invalid");
   items_counter.Increment(dataset.size());
 
-  std::vector<ImageFeatures> features(dataset.size());  // GUARDED_BY(per_worker_slot)
+  // Every slot starts from one blank whose histogram holds no bins, so
+  // the slots cost no histogram allocation: each item below assigns its
+  // own, computed (valid) or zero (invalid).
+  ImageFeatures blank;
+  blank.histogram.bins() = std::vector<double>();
+  std::vector<ImageFeatures> features(dataset.size(), blank);  // GUARDED_BY(per_worker_slot)
 
   const PreprocessOptions& preprocess = options.preprocess;
 

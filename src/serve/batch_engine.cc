@@ -1,12 +1,14 @@
 #include "serve/batch_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/fault.h"
 #include "util/parallel.h"
 #include "util/stopwatch.h"
 
@@ -80,6 +82,14 @@ BatchEngine::BatchEngine(const ApproachSpec& spec,
         std::vector<ImageFeatures>{}, baseline_seed);
     return;  // No index needed either.
   }
+  const auto certifiable = [](double w) {
+    return std::isfinite(w) && w >= 0.0;
+  };
+  certified_ = options_.match_mode == MatchMode::kExact &&
+               spec_.kind == ApproachSpec::Kind::kHybrid &&
+               spec_.strategy == HybridStrategy::kWeightedSum &&
+               spec_.color == HistCompareMethod::kHellinger &&
+               certifiable(spec_.alpha) && certifiable(spec_.beta);
   if (options_.match_mode == MatchMode::kAnn) {
     // The prefilter must rank with the approach's own shape metric so
     // its top-R equals the exact scan's top-R.
@@ -206,6 +216,22 @@ class TaskSpan {
   std::optional<obs::ScopedSpan> span_;
 };
 
+/// The best of `count` partials of contiguous ascending ranges, merged in
+/// range order: the strict comparison keeps the lowest-index optimum,
+/// exactly like one scan.
+PartialBest MergeInOrder(const PartialBest* partials, std::size_t count,
+                         bool maximize) {
+  PartialBest best;
+  for (std::size_t t = 0; t < count; ++t) {
+    const PartialBest& p = partials[t];
+    if (p.found && (!best.found || (maximize ? p.score > best.score
+                                             : p.score < best.score))) {
+      best = p;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
 std::vector<MatchOutcome> BatchEngine::ClassifyArgmin(
@@ -245,21 +271,13 @@ std::vector<MatchOutcome> BatchEngine::ClassifyArgmin(
       },
       options_.n_threads);
 
-  // Sequential merge in ascending task (shard) order: the strict
-  // comparison keeps the lowest-index optimum, exactly like one scan.
   const bool maximize = !shape && IsSimilarityMetric(spec_.color);
   std::vector<MatchOutcome> outcomes;
   outcomes.reserve(nq);
   for (std::size_t q = 0; q < nq; ++q) {
-    PartialBest best;
-    for (std::size_t t = q * per_query; t < (q + 1) * per_query; ++t) {
-      const PartialBest& p = partials[t];
-      if (p.found && (!best.found || (maximize ? p.score > best.score
-                                               : p.score < best.score))) {
-        best = p;
-      }
-    }
-    outcomes.push_back(ArgminOutcome(best, FallbackLabel()));
+    outcomes.push_back(ArgminOutcome(
+        MergeInOrder(&partials[q * per_query], per_query, maximize),
+        FallbackLabel()));
   }
   return outcomes;
 }
@@ -268,7 +286,84 @@ std::vector<MatchOutcome> BatchEngine::ClassifyHybrid(
     const std::vector<const ImageFeatures*>& queries,
     const obs::TraceContext* contexts, const std::vector<Modes>& modes,
     std::vector<char>* full_scans) const {
+  static obs::Counter& certified_queries =
+      obs::MetricsRegistry::Global().counter("serve.engine.certified_queries");
+  static obs::Counter& certified_evals = obs::MetricsRegistry::Global().counter(
+      "serve.engine.certified_exact_evals");
+  static obs::Counter& certified_fallbacks =
+      obs::MetricsRegistry::Global().counter(
+          "serve.engine.certified_fallbacks");
   const std::size_t nq = queries.size();
+  // A query no task scans stays a fallback.
+  std::vector<MatchOutcome> outcomes(  // GUARDED_BY(per_worker_slot)
+      nq, {FallbackLabel(), Degradation::kFallback});
+  // Read once per batch: an armed nan-score needs the full scan's probes.
+  const bool certify = certified_ && !NanScoreArmed();
+  std::vector<std::size_t> certified;
+  std::vector<std::size_t> full;
+  for (std::size_t q = 0; q < nq; ++q) {
+    if (certify && modes[q].shape && modes[q].color) {
+      certified.push_back(q);
+    } else if (modes[q].shape || modes[q].color) {
+      full.push_back(q);
+    }
+  }
+  if (!certified.empty()) {
+    std::size_t evals = 0;
+    const std::vector<std::size_t> unanswered =
+        ClassifyCertified(queries, contexts, certified, &outcomes, &evals);
+    certified_queries.Increment(certified.size() - unanswered.size());
+    certified_evals.Increment(evals);
+    full.insert(full.end(), unanswered.begin(), unanswered.end());
+    std::sort(full.begin(), full.end());
+  }
+  if (certified_) certified_fallbacks.Increment(full.size());
+  if (!full.empty()) {
+    ClassifyHybridFullScan(queries, contexts, modes, full, full_scans,
+                           &outcomes);
+  }
+  return outcomes;
+}
+
+std::vector<std::size_t> BatchEngine::ClassifyCertified(
+    const std::vector<const ImageFeatures*>& queries,
+    const obs::TraceContext* contexts, const std::vector<std::size_t>& ids,
+    std::vector<MatchOutcome>* outcomes, std::size_t* exact_evals) const {
+  const std::size_t per_query = shards_.size();
+  const std::size_t tasks = ids.size() * per_query;
+  // One partial and one evaluation count per (query, shard) task.
+  std::vector<PartialBest> partials(tasks);  // GUARDED_BY(per_worker_slot)
+  std::vector<std::size_t> evals(tasks, 0);  // GUARDED_BY(per_worker_slot)
+  ParallelFor(
+      tasks,
+      [&](std::size_t task) {
+        const std::size_t q = ids[task / per_query];
+        const TaskSpan span(contexts, q, false);
+        const Shard& shard = shards_[task % per_query];
+        partials[task] = BankHybridCertifiedArgminOverRange(
+            *queries[q], *bank_, shard.begin, shard.end, spec_.shape,
+            spec_.alpha, spec_.beta, &evals[task]);
+      },
+      options_.n_threads);
+  std::vector<std::size_t> unanswered;
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const PartialBest best =
+        MergeInOrder(&partials[j * per_query], per_query, false);
+    if (best.found) {
+      (*outcomes)[ids[j]] = {best.label, Degradation::kNone};
+    } else {
+      unanswered.push_back(ids[j]);
+    }
+  }
+  for (const std::size_t e : evals) *exact_evals += e;
+  return unanswered;
+}
+
+void BatchEngine::ClassifyHybridFullScan(
+    const std::vector<const ImageFeatures*>& queries,
+    const obs::TraceContext* contexts, const std::vector<Modes>& modes,
+    const std::vector<std::size_t>& ids, std::vector<char>* full_scans,
+    std::vector<MatchOutcome>* outcomes) const {
   const std::size_t per_query = TasksPerQuery();
   const std::size_t n = bank_->size();
   const auto score = [&](const ImageFeatures& query, const ViewSet& views,
@@ -296,48 +391,44 @@ std::vector<MatchOutcome> BatchEngine::ClassifyHybrid(
   // a batch holds score rows only for its running tasks. Several shard
   // tasks per query fill disjoint ranges of the query's shared rows and
   // keep usable counts per task; the query finishes after the barrier.
+  // Every id names a query with at least one modality to score.
   const bool shared_rows = per_query > 1;
   std::vector<HybridScores> rows;  // GUARDED_BY(per_worker_slot)
   std::vector<std::pair<std::size_t, std::size_t>> counts;  // GUARDED_BY(per_worker_slot)
   if (shared_rows) {
-    rows.reserve(nq);
-    for (std::size_t q = 0; q < nq; ++q) {
-      const bool scanned = modes[q].shape || modes[q].color;
-      rows.emplace_back(scanned ? n : 0, modes[q].shape, modes[q].color);
+    rows.reserve(ids.size());
+    for (const std::size_t q : ids) {
+      rows.emplace_back(n, modes[q].shape, modes[q].color);
     }
-    counts.assign(nq * per_query, {0, 0});
+    counts.assign(ids.size() * per_query, {0, 0});
   }
-  // A query no task scans stays a fallback.
-  std::vector<MatchOutcome> outcomes(  // GUARDED_BY(per_worker_slot)
-      nq, {FallbackLabel(), Degradation::kFallback});
   ParallelFor(
-      nq * per_query,
+      ids.size() * per_query,
       [&](std::size_t task) {
-        const std::size_t q = task / per_query;
-        if (!modes[q].shape && !modes[q].color) return;
+        const std::size_t j = task / per_query;
+        const std::size_t q = ids[j];
         const TaskSpan span(contexts, q, index_.has_value());
         const ViewSet views = TaskViews(*queries[q], task % per_query,
                                         modes[q], &(*full_scans)[q]);
         if (shared_rows) {
-          score(*queries[q], views, &rows[q], &counts[task].first,
+          score(*queries[q], views, &rows[j], &counts[task].first,
                 &counts[task].second);
           return;
         }
         HybridScores own(n, modes[q].shape, modes[q].color);
         score(*queries[q], views, &own, &own.shape_usable,
               &own.color_usable);
-        outcomes[q] = outcome(own);
+        (*outcomes)[q] = outcome(own);
       },
       options_.n_threads);
-  if (!shared_rows) return outcomes;
-  for (std::size_t q = 0; q < nq; ++q) {
-    for (std::size_t t = q * per_query; t < (q + 1) * per_query; ++t) {
-      rows[q].shape_usable += counts[t].first;
-      rows[q].color_usable += counts[t].second;
+  if (!shared_rows) return;
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    for (std::size_t t = j * per_query; t < (j + 1) * per_query; ++t) {
+      rows[j].shape_usable += counts[t].first;
+      rows[j].color_usable += counts[t].second;
     }
-    outcomes[q] = outcome(rows[q]);
+    (*outcomes)[ids[j]] = outcome(rows[j]);
   }
-  return outcomes;
 }
 
 Result<EvalReport> RunApproachBatched(const ApproachSpec& spec,

@@ -31,8 +31,12 @@ namespace snor::serve {
 
 /// \brief Gallery matching mode.
 enum class MatchMode {
-  /// Full scan over the SoA feature bank. Bit-identical to the cold
-  /// classifiers for every approach and any shard/thread count.
+  /// Exact scan over the SoA feature bank. Bit-identical to the cold
+  /// classifiers for every approach and any shard/thread count. The
+  /// weighted-sum hybrid with Hellinger runs the certified scan
+  /// (BankHybridCertifiedArgminOverRange), which scores colour only where
+  /// a proven lower bound could still win; everything else, and any
+  /// query the certified scan cannot answer, runs the full scan.
   kExact,
   /// ANN candidate retrieval (GalleryViewIndex) followed by an exact
   /// rerank of the top-R candidate views: sub-linear in gallery size,
@@ -153,11 +157,28 @@ class BatchEngine {
       const std::vector<const ImageFeatures*>& queries,
       const obs::TraceContext* contexts, const std::vector<Modes>& modes,
       std::vector<char>* full_scans) const;
-  /// Hybrid: per-view modality scores, then HybridOutcome.
+  /// Hybrid: the certified scan for the queries it may answer (both
+  /// modalities usable, nan-score disarmed, `certified_`), the full scan
+  /// for the rest.
   std::vector<MatchOutcome> ClassifyHybrid(
       const std::vector<const ImageFeatures*>& queries,
       const obs::TraceContext* contexts, const std::vector<Modes>& modes,
       std::vector<char>* full_scans) const;
+  /// Certified partials of queries `ids`, one task per (query, shard),
+  /// merged in shard order. Sets the outcome of every query it answers,
+  /// adds its exact colour evaluations to `*exact_evals`, and returns the
+  /// ids no view answered (ascending), which need the full scan.
+  std::vector<std::size_t> ClassifyCertified(
+      const std::vector<const ImageFeatures*>& queries,
+      const obs::TraceContext* contexts, const std::vector<std::size_t>& ids,
+      std::vector<MatchOutcome>* outcomes, std::size_t* exact_evals) const;
+  /// Full scan of queries `ids`, each with a modality to score: per-view
+  /// modality scores, then HybridOutcome into `(*outcomes)[id]`.
+  void ClassifyHybridFullScan(
+      const std::vector<const ImageFeatures*>& queries,
+      const obs::TraceContext* contexts, const std::vector<Modes>& modes,
+      const std::vector<std::size_t>& ids, std::vector<char>* full_scans,
+      std::vector<MatchOutcome>* outcomes) const;
 
   ApproachSpec spec_;
   /// The gallery; all non-baseline scoring reads bank rows. Immutable, so
@@ -167,6 +188,9 @@ class BatchEngine {
   /// only); declared after bank_, which it borrows.
   std::optional<GalleryViewIndex> index_;  // GUARDED_BY(caller)
   BatchEngineOptions options_;
+  /// Exact mode with a spec the certified scan answers: weighted-sum
+  /// hybrid with Hellinger, alpha and beta finite and >= 0.
+  bool certified_ = false;
   std::vector<Shard> shards_;  // GUARDED_BY(caller)
   DegradationStats degradation_;  // GUARDED_BY(caller)
   std::uint64_t ann_full_scans_ = 0;  // GUARDED_BY(caller)

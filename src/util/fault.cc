@@ -162,6 +162,10 @@ double MaybePoisonScore(double value) {
   return value;
 }
 
+bool NanScoreArmed() {
+  return FaultInjector::Global().armed(FaultPoint::kNanScore);
+}
+
 void MaybeInjectDelay() {
   obs::AssertNoRankedLockHeld("MaybeInjectDelay");
   if (FaultFires(FaultPoint::kSlowWorker)) {

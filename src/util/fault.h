@@ -93,6 +93,11 @@ bool FaultFires(FaultPoint point);
 /// Returns NaN instead of `value` when `kNanScore` fires.
 double MaybePoisonScore(double value);
 
+/// True when `kNanScore` is armed. A disarmed point never fires, so a
+/// gallery scan reads this once and calls MaybePoisonScore per view only
+/// when it is armed, which leaves an armed run's probe sequence unchanged.
+bool NanScoreArmed();
+
 /// Sleeps ~2ms when `kSlowWorker` fires (models a stalled worker).
 void MaybeInjectDelay();
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -652,6 +653,226 @@ TEST(GalleryViewIndexTest, EmptyModalitiesGiveEmptyCandidates) {
   ImageFeatures q;
   q.valid = true;
   EXPECT_TRUE(index.Candidates(q, true, true).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Certified scan: BankHybridCertifiedArgminOverRange against the full scan.
+// ---------------------------------------------------------------------------
+
+// The full scan's answer for a query with both modalities usable:
+// BankHybridScoresOverRange, then the weighted-sum theta and first strict
+// minimum over [begin, end), as AssembleHybridTheta and
+// BankHybridArgminLabel run them. `index` is the winning view (or `end`).
+struct FullScanArgmin {
+  PartialBest best;
+  std::size_t index = 0;
+  std::vector<double> shape;
+  std::vector<double> color;
+};
+
+FullScanArgmin FullScanWeightedSum(const ImageFeatures& q,
+                                   const FeatureBank& bank, std::size_t begin,
+                                   std::size_t end, ShapeMatchMethod method,
+                                   double alpha, double beta) {
+  FullScanArgmin out;
+  out.shape.assign(bank.size(), kUnusableScore);
+  out.color.assign(bank.size(), kUnusableScore);
+  std::size_t shape_usable = 0;
+  std::size_t color_usable = 0;
+  BankHybridScoresOverRange(q, bank, begin, end, method,
+                            HistCompareMethod::kHellinger, true, true,
+                            &out.shape, &out.color, &shape_usable,
+                            &color_usable);
+  out.best.score = kUnusableScore;
+  out.index = end;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (out.shape[i] >= kUnusableScore || out.color[i] >= kUnusableScore) {
+      continue;
+    }
+    const double theta = HybridTheta(alpha, out.shape[i], beta, out.color[i]);
+    if (theta < out.best.score) {
+      out.best = {theta, bank.labels[i], true};
+      out.index = i;
+    }
+  }
+  return out;
+}
+
+// Scales every bin: the bound must hold for rows and queries that are not
+// L1-normalized, down to masses outside the certified range.
+ImageFeatures Scaled(ImageFeatures f, double factor) {
+  for (double& bin : f.histogram.bins()) bin *= factor;
+  return f;
+}
+
+// The fuzz gallery plus what the certified scan must get right on top:
+// exact duplicates of earlier rows under another label (θ ties the lower
+// index must win), rendered-occupancy rows with unnormalized masses, and
+// rows far outside the certified mass range. Queries are the views of a
+// second such gallery whose modalities are both usable, each also scaled
+// and a few copied from the gallery itself (θ = α·S exactly).
+struct CertifiedInputs {
+  std::vector<ImageFeatures> gallery;
+  std::vector<ImageFeatures> queries;
+};
+
+CertifiedInputs CertifiedFuzzInputs(std::uint64_t seed, int bins_per_channel,
+                                    std::size_t n) {
+  CertifiedInputs in;
+  in.gallery = FuzzGallery(n, seed, bins_per_channel);
+  for (ImageFeatures& f : OccupancyGallery(n, seed + 7, bins_per_channel)) {
+    in.gallery.push_back(std::move(f));
+  }
+  Rng rng(seed + 11);
+  for (std::size_t i = 4; i < in.gallery.size(); i += 5) {
+    const ImageFeatures& source = in.gallery[rng.Index(i)];
+    ImageFeatures& dup = in.gallery[i];
+    dup.hu = source.hu;
+    dup.histogram = source.histogram;
+    dup.valid = source.valid;
+    dup.label = ClassFromIndex((ClassIndex(source.label) + 1) % kNumClasses);
+  }
+  in.gallery[6] = Scaled(in.gallery[6], 0x1p-420);
+  in.gallery[9] = Scaled(in.gallery[9], 0x1p+420);
+  in.gallery[13] = Scaled(in.gallery[13], 1e-300);
+
+  std::vector<ImageFeatures> pool = FuzzGallery(n / 2, seed + 1,
+                                                bins_per_channel);
+  for (ImageFeatures& f : OccupancyGallery(n / 4, seed + 2, bins_per_channel)) {
+    pool.push_back(std::move(f));
+  }
+  for (std::size_t i = 0; i < in.gallery.size(); i += 9) {
+    pool.push_back(in.gallery[i]);
+  }
+  for (const ImageFeatures& f : pool) {
+    if (!ShapeModalityUsable(f) || !ColorModalityUsable(f)) continue;
+    in.queries.push_back(f);
+    in.queries.push_back(Scaled(f, rng.Uniform(0.01, 300.0)));
+  }
+  in.queries.push_back(Scaled(in.queries.front(), 0x1p-410));
+  return in;
+}
+
+constexpr std::pair<double, double> kCertifiedWeights[] = {
+    {0.3, 0.7}, {0.0, 1.0}, {1.0, 0.0}, {0.5, 0.5}, {2.5, 0.25}};
+
+class CertifiedScanTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The certified partial equals the full scan's first strict minimum of θ
+// bit for bit (θ, label, found) on every range, and θ_lb <= θ for every
+// view with both scores usable, the views it scores included.
+TEST_P(CertifiedScanTest, MatchesFullScanArgmin) {
+  for (const int bins_per_channel : {4, 8, 16}) {
+    SCOPED_TRACE(bins_per_channel);
+    const std::size_t n = bins_per_channel == 16 ? 40 : 90;
+    const CertifiedInputs in =
+        CertifiedFuzzInputs(GetParam(), bins_per_channel, n);
+    const FeatureBank bank = PackFeatureBank(in.gallery);
+    const std::size_t size = bank.size();
+    ASSERT_GT(in.queries.size(), 10u);
+    for (const auto method : kShapeMethods) {
+      for (const auto& [alpha, beta] : kCertifiedWeights) {
+        for (const ImageFeatures& q : in.queries) {
+          const HellingerLowerBound h_lower(q, bank);
+          for (const auto& [begin, end] :
+               {std::pair<std::size_t, std::size_t>{0, size}, {0, size / 3},
+                {size / 3, size}, {5, 5}}) {
+            const FullScanArgmin full =
+                FullScanWeightedSum(q, bank, begin, end, method, alpha, beta);
+            std::size_t evals = 0;
+            const PartialBest certified = BankHybridCertifiedArgminOverRange(
+                q, bank, begin, end, method, alpha, beta, &evals);
+            ExpectSamePartial(certified, full.best);
+            EXPECT_LE(evals, end - begin);
+            for (std::size_t i = begin; i < end; ++i) {
+              if (full.shape[i] >= kUnusableScore ||
+                  full.color[i] >= kUnusableScore) {
+                continue;
+              }
+              const double h_lb = h_lower(i);
+              EXPECT_LE(h_lb, full.color[i]) << "view " << i;
+              EXPECT_LE(HybridTheta(alpha, full.shape[i], beta, h_lb),
+                        HybridTheta(alpha, full.shape[i], beta, full.color[i]))
+                  << "view " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CertifiedScanTest,
+                         ::testing::Values(17u, 29u, 43u, 97u));
+
+// A duplicate of the winning view under another label, after it in the
+// bank, ties θ exactly; the lower index keeps the answer, and so does a
+// range that starts at the duplicate.
+TEST(CertifiedScanTest, ExactTieGoesToLowerIndex) {
+  std::vector<ImageFeatures> gallery = OccupancyGallery(30, 61, 8);
+  const ImageFeatures query = gallery[11];
+  gallery[20] = gallery[11];
+  gallery[20].label =
+      ClassFromIndex((ClassIndex(gallery[11].label) + 1) % kNumClasses);
+  const FeatureBank bank = PackFeatureBank(gallery);
+  std::size_t evals = 0;
+  const PartialBest all = BankHybridCertifiedArgminOverRange(
+      query, bank, 0, bank.size(), ShapeMatchMethod::kI3, 0.3, 0.7, &evals);
+  ASSERT_TRUE(all.found);
+  EXPECT_EQ(all.label, gallery[11].label);
+  EXPECT_EQ(all.score, 0.0);
+  const PartialBest tail = BankHybridCertifiedArgminOverRange(
+      query, bank, 12, bank.size(), ShapeMatchMethod::kI3, 0.3, 0.7, &evals);
+  ASSERT_TRUE(tail.found);
+  EXPECT_EQ(tail.label, gallery[20].label);
+}
+
+// Rows the bound cannot certify get H_lb = 0 and are scored exactly;
+// a gallery with no view whose scores are both usable answers nothing.
+TEST(CertifiedScanTest, UncertifiedRowsHaveZeroBound) {
+  std::vector<ImageFeatures> gallery = OccupancyGallery(6, 71, 4);
+  gallery[0].histogram.bins().assign(gallery[0].histogram.num_bins(), 0.0);
+  gallery[1].histogram.bins()[3] = -0.5;
+  gallery[2].histogram.bins()[5] = std::numeric_limits<double>::infinity();
+  gallery[3].histogram.bins()[7] = std::numeric_limits<double>::quiet_NaN();
+  gallery[4] = Scaled(gallery[4], 0x1p-450);
+  const FeatureBank bank = PackFeatureBank(gallery);
+  const ImageFeatures query = OccupancyGallery(1, 72, 4).front();
+  const HellingerLowerBound h_lower(query, bank);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(bank.bound_ok[i], 0) << "view " << i;
+    EXPECT_EQ(h_lower(i), 0.0) << "view " << i;
+  }
+  EXPECT_EQ(bank.bound_ok[5], 1);
+
+  std::vector<ImageFeatures> dead(3, gallery[3]);
+  dead[1].valid = false;
+  const FeatureBank dead_bank = PackFeatureBank(dead);
+  std::size_t evals = 0;
+  EXPECT_FALSE(BankHybridCertifiedArgminOverRange(query, dead_bank, 0, 3,
+                                                  ShapeMatchMethod::kI3, 0.3,
+                                                  0.7, &evals)
+                   .found);
+}
+
+// On rendered-occupancy rows the bound prunes: far fewer exact colour
+// scores than views.
+TEST(CertifiedScanTest, PrunesRenderedOccupancyGallery) {
+  const std::vector<ImageFeatures> gallery = OccupancyGallery(600, 81, 8);
+  const std::vector<ImageFeatures> queries = OccupancyGallery(20, 82, 8);
+  const FeatureBank bank = PackFeatureBank(gallery);
+  std::size_t evals = 0;
+  for (const ImageFeatures& q : queries) {
+    (void)BankHybridCertifiedArgminOverRange(
+        q, bank, 0, bank.size(), ShapeMatchMethod::kI3, 0.3, 0.7, &evals);
+  }
+  EXPECT_LT(evals, queries.size() * bank.size() / 4);
+}
+
+// The margin derived from γ_n in feature_bank.h.
+TEST(CertifiedScanTest, MarginFollowsFromGamma) {
+  EXPECT_NEAR(CertifiedBoundMargin(512, 64), 1.526e-5, 1e-8);
+  EXPECT_GT(CertifiedBoundMargin(4096, 512), CertifiedBoundMargin(512, 64));
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "obs/metrics.h"
+#include "util/fault.h"
 
 namespace snor::serve {
 namespace {
@@ -351,6 +353,141 @@ TEST(MatchModeTest, ParseAndNameRoundTrip) {
   EXPECT_FALSE(ParseMatchMode("fuzzy").ok());
   EXPECT_STREQ(MatchModeName(MatchMode::kExact), "exact");
   EXPECT_STREQ(MatchModeName(MatchMode::kAnn), "ann");
+}
+
+// The paper's best approach (weighted-sum Hu-L3 + Hellinger) in exact mode,
+// which the engine answers with the certified scan.
+ApproachSpec CertifiedSpec() {
+  ApproachSpec spec;
+  spec.kind = ApproachSpec::Kind::kHybrid;
+  spec.shape = ShapeMatchMethod::kI3;
+  spec.color = HistCompareMethod::kHellinger;
+  spec.strategy = HybridStrategy::kWeightedSum;
+  spec.alpha = 0.3;
+  spec.beta = 0.7;
+  return spec;
+}
+
+// SNS2 queries plus the ones the certified scan must hand to the full
+// scan: colour dead, shape dead (invalid, NaN moment), both dead, and a
+// degenerate shape that every view scores kUnusableScore.
+std::vector<ImageFeatures> CertifiedQueries() {
+  auto& ctx = Context();
+  std::vector<ImageFeatures> inputs = ctx.Sns2Features();
+  ImageFeatures colour_dead = inputs[0];
+  colour_dead.histogram =
+      ColorHistogram(colour_dead.histogram.bins_per_channel());
+  ImageFeatures invalid = inputs[1];
+  invalid.valid = false;
+  ImageFeatures nan_hu = inputs[2];
+  nan_hu.hu[2] = std::numeric_limits<double>::quiet_NaN();
+  ImageFeatures both_dead = colour_dead;
+  both_dead.valid = false;
+  ImageFeatures degenerate = inputs[3];
+  degenerate.hu = {};
+  for (const ImageFeatures& f :
+       {colour_dead, invalid, nan_hu, both_dead, degenerate}) {
+    inputs.push_back(f);
+  }
+  return inputs;
+}
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::MetricsRegistry::Global().counter(name).value();
+}
+
+void ExpectSameDegradation(const DegradationStats& warm,
+                           const DegradationStats& cold) {
+  EXPECT_EQ(warm.shape_only, cold.shape_only);
+  EXPECT_EQ(warm.color_only, cold.color_only);
+  EXPECT_EQ(warm.fallback, cold.fallback);
+}
+
+// Exact mode's certified scan answers with the full scan's labels and
+// degradations for 1 to 5 shards at several thread counts, and counts its
+// work once per batch.
+TEST(BatchEngineTest, CertifiedScanMatchesFullScanAcrossShards) {
+  auto& ctx = Context();
+  const ApproachSpec spec = CertifiedSpec();
+  const std::vector<ImageFeatures> inputs = CertifiedQueries();
+  const auto& gallery = ctx.Sns1Features();
+  auto cold = MakeClassifier(spec, gallery, ctx.config().seed);
+  ASSERT_TRUE(cold.ok());
+  const std::vector<ObjectClass> expected = cold.value()->ClassifyAll(inputs);
+  ASSERT_GE(cold.value()->degradation().total(), 4u);
+
+  for (int shards = 1; shards <= 5; ++shards) {
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, " << threads
+                                      << " threads");
+      BatchEngineOptions options;
+      options.num_shards = shards;
+      options.n_threads = threads;
+      auto engine =
+          BatchEngine::Create(spec, gallery, options, ctx.config().seed);
+      ASSERT_TRUE(engine.ok());
+      const std::uint64_t answered =
+          CounterValue("serve.engine.certified_queries");
+      const std::uint64_t evals =
+          CounterValue("serve.engine.certified_exact_evals");
+      const std::uint64_t fallbacks =
+          CounterValue("serve.engine.certified_fallbacks");
+      EXPECT_EQ(engine.value()->ClassifyBatch(Pointers(inputs)), expected);
+      ExpectSameDegradation(engine.value()->degradation(),
+                            cold.value()->degradation());
+      const std::uint64_t certified =
+          CounterValue("serve.engine.certified_queries") - answered;
+      EXPECT_GE(certified, ctx.Sns2Features().size() - 4);
+      EXPECT_GT(CounterValue("serve.engine.certified_exact_evals") - evals,
+                certified / 2);
+      // Every query but the both-dead one took exactly one path.
+      EXPECT_EQ(certified + CounterValue("serve.engine.certified_fallbacks") -
+                    fallbacks,
+                inputs.size() - 1);
+    }
+  }
+}
+
+// An armed nan-score needs the full scan's per-view probes: the engine
+// falls back for the whole batch, with the cold path's labels,
+// degradations, probe count and fire count.
+TEST(BatchEngineTest, CertifiedScanFallsBackWhenNanScoreArmed) {
+  auto& ctx = Context();
+  const ApproachSpec spec = CertifiedSpec();
+  const std::vector<ImageFeatures> inputs = CertifiedQueries();
+  const auto& gallery = ctx.Sns1Features();
+  FaultInjector& faults = FaultInjector::Global();
+
+  auto cold = MakeClassifier(spec, gallery, ctx.config().seed);
+  ASSERT_TRUE(cold.ok());
+  std::vector<ObjectClass> expected;
+  std::uint64_t probes = 0;
+  std::uint64_t fires = 0;
+  {
+    const ScopedFault nan(FaultPoint::kNanScore, 0.3, 77);
+    expected = cold.value()->ClassifyAll(inputs);
+    probes = faults.probe_count(FaultPoint::kNanScore);
+    fires = faults.fire_count(FaultPoint::kNanScore);
+  }
+  ASSERT_GT(fires, 0u);
+
+  BatchEngineOptions options;
+  options.num_shards = 3;
+  options.n_threads = 1;  // Probes drawn in the cold path's view order.
+  auto engine = BatchEngine::Create(spec, gallery, options, ctx.config().seed);
+  ASSERT_TRUE(engine.ok());
+  const std::uint64_t answered = CounterValue("serve.engine.certified_queries");
+  const std::uint64_t fallbacks =
+      CounterValue("serve.engine.certified_fallbacks");
+  const ScopedFault nan(FaultPoint::kNanScore, 0.3, 77);
+  EXPECT_EQ(engine.value()->ClassifyBatch(Pointers(inputs)), expected);
+  EXPECT_EQ(faults.probe_count(FaultPoint::kNanScore), probes);
+  EXPECT_EQ(faults.fire_count(FaultPoint::kNanScore), fires);
+  ExpectSameDegradation(engine.value()->degradation(),
+                        cold.value()->degradation());
+  EXPECT_EQ(CounterValue("serve.engine.certified_queries"), answered);
+  EXPECT_EQ(CounterValue("serve.engine.certified_fallbacks") - fallbacks,
+            inputs.size() - 1);
 }
 
 TEST(RunApproachBatchedTest, EmptyGalleryPropagatesStatus) {
