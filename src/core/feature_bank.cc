@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -31,26 +32,27 @@ std::size_t PadStride(std::size_t logical, std::size_t elem_size) {
 // the group masses in its block loop.
 static_assert(FeatureBank::kBoundGroupBins == 64 / sizeof(double));
 
-/// The float nearest `x` from above, so a bound factor never rounds down.
+/// The float nearest `x` >= 0 from above, so a bound factor never rounds
+/// down. For a non-negative float, the next float up is the next bit
+/// pattern; adding the comparison keeps the loops below free of
+/// data-dependent branches.
 float RoundUpToFloat(double x) {
-  float f = static_cast<float>(x);
-  if (static_cast<double>(f) < x) {
-    f = std::nextafter(f, std::numeric_limits<float>::infinity());
-  }
-  return f;
+  const float f = static_cast<float>(x);
+  return std::bit_cast<float>(std::bit_cast<std::uint32_t>(f) +
+                              (static_cast<double>(f) < x ? 1u : 0u));
 }
 
-/// Writes one certified-bound row, sqrt(group mass / mass) rounded up, from
-/// the group masses of a finite, non-negative histogram. Returns false,
-/// writing nothing, when `mass` is outside the certified mass range (NaN
-/// and infinite masses included).
-bool FillBoundRow(const double* group_mass, std::size_t groups, double mass,
+/// Writes the `groups` entries of one certified-bound row,
+/// sqrt(group mass / mass) rounded up, from the group masses of a finite,
+/// non-negative histogram; the row's other entries (empty groups) stay 0.
+/// Returns false, writing nothing, when `mass` is outside the certified
+/// mass range (NaN and infinite masses included).
+bool FillBoundRow(const double* group_mass,
+                  const std::vector<std::size_t>& groups, double mass,
                   float* row) {
   if (!(mass >= kMinCertifiedMass && mass <= kMaxCertifiedMass)) return false;
-  for (std::size_t g = 0; g < groups; ++g) {
-    row[g] = group_mass[g] == 0.0
-                 ? 0.0f
-                 : RoundUpToFloat(std::sqrt(group_mass[g] / mass));
+  for (const std::size_t g : groups) {
+    row[g] = RoundUpToFloat(std::sqrt(group_mass[g] / mass));
   }
   return true;
 }
@@ -97,7 +99,10 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
   bank.bound_groups = bank.hist_stride / FeatureBank::kBoundGroupBins;
   bank.bound.assign(bank.num_views * bank.bound_groups, 0.0f);
   bank.bound_ok.assign(bank.num_views, 0);
+  // The current row's group masses, valid for its occupied groups only.
   std::vector<double> group_mass(bank.bound_groups);
+  std::vector<std::size_t> occupied;
+  occupied.reserve(bank.bound_groups);
 
   for (std::size_t i = 0; i < bank.num_views; ++i) {
     const ImageFeatures& view = gallery[i];
@@ -116,6 +121,7 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
     const double* row = bank.hist.data() + i * bank.hist_stride;
     double sum = 0.0;
     bool negative = false;
+    occupied.clear();
     for (std::size_t block = 0; block < bank.hist_stride; block += 8) {
       // Rendered rows are mostly empty, so test a whole cache line of
       // bins for ±0.0 at once (shifting out the sign bit) before testing
@@ -124,9 +130,8 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
       std::memcpy(words, row + block, sizeof(words));
       std::uint64_t magnitude_bits = 0;
       for (const std::uint64_t w : words) magnitude_bits |= w << 1;
-      double& block_mass = group_mass[block / 8];
-      block_mass = 0.0;
       if (magnitude_bits == 0) continue;
+      double block_mass = 0.0;
       for (std::size_t k = block; k < block + 8; ++k) {
         // Adding ±0.0 to an ascending sum that starts at +0.0 never
         // changes it, so the sum over nonzero bins equals the dense sum
@@ -138,12 +143,14 @@ FeatureBank PackFeatureBank(const std::vector<ImageFeatures>& gallery) {
         bank.nz_bins.push_back(static_cast<std::uint32_t>(k));
         bank.nz_values.push_back(row[k]);
       }
+      group_mass[block / 8] = block_mass;
+      occupied.push_back(block / 8);
     }
     bank.hist_sums[i] = sum;
     bank.nz_offsets[i + 1] = bank.nz_bins.size();
     // A finite sum rules out NaN and infinite bins.
     bank.bound_ok[i] =
-        !negative && FillBoundRow(group_mass.data(), bank.bound_groups, sum,
+        !negative && FillBoundRow(group_mass.data(), occupied, sum,
                                   bank.bound.data() + i * bank.bound_groups);
   }
 
@@ -339,7 +346,11 @@ HellingerLowerBound::HellingerLowerBound(const ImageFeatures& query,
     usable = usable && std::isfinite(q[k]) && q[k] >= 0.0;
     group_mass[k / FeatureBank::kBoundGroupBins] += q[k];
   }
-  certified_ = usable && FillBoundRow(group_mass.data(), bank.bound_groups,
+  std::vector<std::size_t> occupied;
+  for (std::size_t g = 0; g < bank.bound_groups; ++g) {
+    if (group_mass[g] != 0.0) occupied.push_back(g);
+  }
+  certified_ = usable && FillBoundRow(group_mass.data(), occupied,
                                       query.histogram.TotalMass(),
                                       query_row_.data());
 }
